@@ -2,16 +2,19 @@
 //! SHIFT, CIRC, RAND, AGE, MULT, Orinoco and the criticality-aware CRI
 //! variants.
 //!
-//! The matrix-based variants (AGE/MULT/Orinoco/CRI) drive a real
-//! [`AgeMatrix`]; SHIFT and CIRC derive order from (virtual) queue
-//! position; RAND is order-oblivious. All variants allocate entries from a
-//! free list except CIRC, whose gaps stay unusable until the head passes
-//! them — the capacity inefficiency of Figure 1(b).
+//! AGE, MULT and the CRI variants drive a real [`AgeMatrix`]: CRI is the
+//! one place where age order differs from dispatch order, and AGE/MULT
+//! select on the matrix's single-oldest reduction. SHIFT and plain
+//! Orinoco rank the ready entries by sequence number: live dispatch order
+//! is seq order, so that is the matrix's bit-count ranking (pinned against
+//! the CRI-Orinoco matrix path by the tests below). CIRC derives order
+//! from (virtual) queue position; RAND is order-oblivious. All variants
+//! allocate entries from a free list except CIRC, whose gaps stay unusable
+//! until the head passes them — the capacity inefficiency of Figure 1(b).
 
 use crate::config::{Pool, SchedulerKind};
 use crate::rename::PhysReg;
 use orinoco_matrix::{AgeMatrix, BitVec64};
-use std::collections::VecDeque;
 
 /// An instruction resident in the IQ.
 #[derive(Clone, Debug)]
@@ -73,9 +76,8 @@ pub struct IssueQueue {
     /// only ever sets `src_ready`.
     waiters: Vec<Vec<(usize, u8, u64)>>,
     /// Compact per-slot copy of the occupant's sequence number
-    /// (`u64::MAX` when empty): the per-cycle select walk tests pair
-    /// staleness against this dense array instead of dereferencing the
-    /// wide `IqEntry` slots.
+    /// (`u64::MAX` when empty): the seq-ranked select reads this dense
+    /// array instead of dereferencing the wide `IqEntry` slots.
     seq_of: Vec<u64>,
     /// One bit per slot: the occupant's issue-gating sources are all
     /// ready (mirrors [`IqEntry::is_ready`], updated at allocation and
@@ -85,20 +87,6 @@ pub struct IssueQueue {
     /// three mutation sites (allocate, remove, wake-up) so the per-cycle
     /// request-vector probe is O(1) instead of a popcount scan.
     nready: usize,
-    /// Dispatch-order view as `(slot, generation)` pairs, maintained for
-    /// the plain Orinoco scheduler only: without criticality adjustment
-    /// the matrix age order *is* the dispatch order, so the full-width
-    /// age ranking of the select stage reduces to a walk over this
-    /// deque. Pairs go stale — and are skipped lazily — once the slot is
-    /// freed or recycled (same scheme as `Rob::order`). The generation
-    /// (rather than the occupant's seq) is what makes staleness
-    /// unambiguous: a squash + refetch re-dispatches the *same* dynamic
-    /// instruction, and the LIFO free list can hand back the *same*
-    /// slot, recreating an identical `(slot, seq)` pair next to its
-    /// stale twin — but never an identical `(slot, generation)` pair.
-    order: VecDeque<(usize, u64)>,
-    /// Per-slot allocation counter backing `order`'s staleness test.
-    gen_of: Vec<u64>,
     // Reusable scratch for the per-cycle select path (allocation-free in
     // steady state; see DESIGN.md §"Performance engineering").
     scratch_ready: Vec<usize>,
@@ -128,8 +116,6 @@ impl IssueQueue {
             seq_of: vec![u64::MAX; cap],
             ready_bits: BitVec64::new(cap),
             nready: 0,
-            order: VecDeque::with_capacity(cap * 2),
-            gen_of: vec![0; cap],
             scratch_ready: Vec::with_capacity(cap),
             scratch_order: Vec::with_capacity(cap),
             scratch_part: Vec::with_capacity(cap),
@@ -196,10 +182,14 @@ impl IssueQueue {
             self.kind,
             SchedulerKind::Age
                 | SchedulerKind::Mult
-                | SchedulerKind::Orinoco
                 | SchedulerKind::CriAge
                 | SchedulerKind::CriOrinoco
         )
+    }
+
+    /// SHIFT and plain Orinoco grant the oldest ready entries by seq.
+    fn ranks_by_seq(&self) -> bool {
+        matches!(self.kind, SchedulerKind::Shift | SchedulerKind::Orinoco)
     }
 
     /// Allocates an entry; returns its slot, or `None` when full.
@@ -220,25 +210,9 @@ impl IssueQueue {
             if entry.critical && self.kind.uses_criticality() {
                 self.age.dispatch_critical(slot, &self.cri);
                 self.cri.set(slot);
-            } else if self.kind == SchedulerKind::Orinoco {
-                // Plain Orinoco never reads the matrix in release — both
-                // the ranking and the fused select walk the dispatch
-                // deque — so the row/column writes are debug-only oracle
-                // maintenance (see `AgeMatrix::dispatch_lazy`).
-                self.age.dispatch_lazy(slot);
             } else {
                 self.age.dispatch(slot);
             }
-        }
-        if self.kind == SchedulerKind::Orinoco {
-            // Lazily compact stale pairs once they dominate; live pairs
-            // never exceed `cap`, so the push below fits afterwards.
-            if self.order.len() >= self.cap * 2 {
-                let (slots, gen_of) = (&self.slots, &self.gen_of);
-                self.order.retain(|&(s, g)| slots[s].is_some() && gen_of[s] == g);
-            }
-            self.gen_of[slot] = self.gen_of[slot].wrapping_add(1);
-            self.order.push_back((slot, self.gen_of[slot]));
         }
         let srcs = entry.srcs;
         let src_ready = entry.src_ready;
@@ -389,7 +363,6 @@ impl IssueQueue {
                 self.age.free(slot);
             }
             self.seq_of[slot] = u64::MAX;
-            self.gen_of[slot] = 0;
         }
         self.free.clear();
         self.free.extend((0..self.cap).rev());
@@ -404,7 +377,6 @@ impl IssueQueue {
         }
         self.ready_bits.clear_all();
         self.nready = 0;
-        self.order.clear();
     }
 
     fn circ_position(&self, slot: usize) -> usize {
@@ -422,7 +394,8 @@ impl IssueQueue {
     /// Priority-ordered ready slots for this cycle, per the scheduler
     /// variant, written into `out` (head granted first). `part` is extra
     /// scratch for the CriAge class partition. Allocation-free once the
-    /// scratch vectors have grown to capacity.
+    /// scratch vectors have grown to capacity. The seq-ranked variants
+    /// never come here (see [`IssueQueue::select_by_seq_into`]).
     fn priority_order_into(
         &mut self,
         ready: &[usize],
@@ -431,10 +404,8 @@ impl IssueQueue {
     ) {
         out.clear();
         match self.kind {
-            SchedulerKind::Shift => {
-                // Collapsible queue: position == age; ideal order.
-                out.extend_from_slice(ready);
-                out.sort_unstable_by_key(|&s| self.slots[s].as_ref().map(|e| e.seq));
+            SchedulerKind::Shift | SchedulerKind::Orinoco => {
+                unreachable!("seq-ranked schedulers select by seq")
             }
             SchedulerKind::Circ => {
                 out.extend_from_slice(ready);
@@ -477,22 +448,6 @@ impl IssueQueue {
                     ready.iter().copied().filter(|s| !heads[..nheads].contains(s)),
                 );
                 self.shuffle(&mut out[nheads..]);
-            }
-            SchedulerKind::Orinoco => {
-                // Without criticality adjustment the matrix age order is
-                // the dispatch order, so the full ready ranking is a walk
-                // over the dispatch deque — O(live) instead of the
-                // O(ready × words) bit-count rank plus sort. Equivalence
-                // with the matrix path is pinned by
-                // `orinoco_walk_matches_matrix_ranking`. Staleness is a
-                // generation compare (see the `order` field docs), so a
-                // recycled slot can never match twice.
-                let gen_of = &self.gen_of;
-                let ready_bits = &self.ready_bits;
-                out.extend(self.order.iter().filter_map(|&(s, g)| {
-                    (gen_of[s] == g && ready_bits.get(s)).then_some(s)
-                }));
-                debug_assert_eq!(out.len(), ready.len(), "walk missed a ready entry");
             }
             SchedulerKind::CriAge | SchedulerKind::CriOrinoco => {
                 // Full (criticality-adjusted) age order from the bit count
@@ -543,8 +498,8 @@ impl IssueQueue {
         grants: &mut Vec<(usize, IqEntry)>,
     ) {
         grants.clear();
-        if self.kind == SchedulerKind::Orinoco {
-            self.select_orinoco_into(pool_budget, width, grants);
+        if self.ranks_by_seq() {
+            self.select_by_seq_into(pool_budget, width, grants);
             return;
         }
         let mut ready = std::mem::take(&mut self.scratch_ready);
@@ -572,17 +527,24 @@ impl IssueQueue {
         self.scratch_part = part;
     }
 
-    /// The fused Orinoco select: without criticality adjustment the
+    /// The ready entries as `(seq, slot)` pairs, oldest first, written
+    /// into `out` (cleared first). Without criticality adjustment the
     /// matrix age order *is* the dispatch order, and live dispatch order
-    /// is strictly seq-ascending (fetch numbers in order, wrong-path
-    /// synthetics start above `1 << 62` and only grow, squashes remove
-    /// suffixes and re-inject in seq order). So the age ranking of the
-    /// ready set is just its seq sort: collect the ready slots from the
-    /// bit vector (`nready` of them, typically a handful) and
-    /// `sort_unstable` — no deque walk over the whole resident
-    /// population, no matrix rank scan. The dispatch deque stays as the
-    /// debug oracle below and for the ranking used by tests.
-    fn select_orinoco_into(
+    /// is seq order, so this is the bit-count ranking of the ready set:
+    /// the `nready` ready slots (typically a handful) come off the bit
+    /// vector and are sorted, with no walk over the resident population
+    /// and no matrix rank scan.
+    fn ready_by_seq_into(&self, out: &mut Vec<(u64, usize)>) {
+        out.clear();
+        out.extend(self.ready_bits.iter_ones().map(|s| (self.seq_of[s], s)));
+        debug_assert_eq!(out.len(), self.nready, "ready count out of sync");
+        out.sort_unstable();
+    }
+
+    /// The select of the seq-ranked schedulers (SHIFT, plain Orinoco):
+    /// grants walk the seq-sorted ready set, skipping entries whose pool
+    /// has no budget left.
+    fn select_by_seq_into(
         &mut self,
         pool_budget: &mut [usize; 4],
         width: usize,
@@ -592,25 +554,7 @@ impl IssueQueue {
             return;
         }
         let mut cands = std::mem::take(&mut self.scratch_cands);
-        cands.clear();
-        cands.extend(self.ready_bits.iter_ones().map(|s| (self.seq_of[s], s)));
-        debug_assert_eq!(cands.len(), self.nready, "ready count out of sync");
-        cands.sort_unstable();
-        #[cfg(debug_assertions)]
-        {
-            // The seq sort must reproduce the dispatch-deque order — the
-            // ascending-seq invariant, checked allocation-free on every
-            // select (the alloc_free test runs this path).
-            let mut deque = self
-                .order
-                .iter()
-                .filter(|&&(s, g)| self.gen_of[s] == g && self.ready_bits.get(s))
-                .map(|&(s, _)| s);
-            for &(_, s) in &cands {
-                debug_assert_eq!(deque.next(), Some(s), "seq sort diverged from dispatch order");
-            }
-            debug_assert_eq!(deque.next(), None, "walk missed a ready entry");
-        }
+        self.ready_by_seq_into(&mut cands);
         for &(_, slot) in &cands {
             if grants.len() == width {
                 break;
@@ -627,9 +571,14 @@ impl IssueQueue {
     }
 
     /// The full priority ranking of the currently-ready slots, without
-    /// removing anything (test oracle for the fused select path).
+    /// removing anything (test oracle for the select paths).
     #[cfg(test)]
     fn priority_ranking(&mut self) -> Vec<usize> {
+        if self.ranks_by_seq() {
+            let mut cands = Vec::new();
+            self.ready_by_seq_into(&mut cands);
+            return cands.into_iter().map(|(_, s)| s).collect();
+        }
         let ready: Vec<usize> = self.ready_bits.iter_ones().collect();
         let mut out = Vec::new();
         let mut part = Vec::new();
@@ -694,8 +643,8 @@ mod tests {
         // A precise exception or replay squashes from the offender's own
         // seq and refetches it: the same dynamic instruction re-enters the
         // IQ with the same seq, and the LIFO free list hands back the same
-        // slot — recreating a (slot, seq) pair whose stale twin is still
-        // in the Orinoco dispatch deque. The walk must not grant it twice.
+        // slot — recreating a (slot, seq) pair identical to the one just
+        // removed. It must be granted exactly once.
         let mut iq = IssueQueue::new(SchedulerKind::Orinoco, 8);
         let slots = fill(&mut iq, &[0, 1, 2]);
         // Squash seqs >= 1 (youngest first, as squash_ge walks).
@@ -939,8 +888,8 @@ mod tests {
         assert_eq!(iq.ready_count(), 0);
     }
 
-    /// The dispatch-order walk of the plain Orinoco scheduler selects the
-    /// same slots in the same order as the matrix bit-count ranking
+    /// The seq-sorted ranking of the plain Orinoco scheduler orders the
+    /// ready slots exactly as the matrix bit-count ranking does
     /// (CriOrinoco with no critical entries is exactly that matrix path),
     /// across random allocate/remove churn that recycles slots.
     #[test]
@@ -976,49 +925,51 @@ mod tests {
             assert!(gw.is_empty() && gm.is_empty(), "zero budget still granted");
             let ow = walk.priority_ranking();
             let om = matrix.priority_ranking();
-            assert_eq!(ow, om, "walk order diverged from matrix age ranking");
+            assert_eq!(ow, om, "seq ranking diverged from matrix age ranking");
         }
     }
 
-    /// The fused Orinoco select (deque walk, no ranking pass) grants the
-    /// same slots in the same order as the generic select driven by the
-    /// matrix ranking (CriOrinoco with no critical entries), including
-    /// under pool-budget skips and partial widths.
+    /// The seq-ranked select of SHIFT and plain Orinoco grants the same
+    /// slots in the same order as the generic select driven by the matrix
+    /// ranking (CriOrinoco with no critical entries), including under
+    /// pool-budget skips and partial widths.
     #[test]
     fn fused_orinoco_select_matches_generic_path() {
-        let mut rng = 0xFACE_FEED_0BAD_F00Du64;
-        let mut next = move || {
-            rng ^= rng >> 12;
-            rng ^= rng << 25;
-            rng ^= rng >> 27;
-            rng.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        };
-        let mut fused = IssueQueue::new(SchedulerKind::Orinoco, 16);
-        let mut generic = IssueQueue::new(SchedulerKind::CriOrinoco, 16);
-        let mut seq = 0u64;
-        for round in 0..500 {
-            while fused.has_space() && next() % 4 != 0 {
-                let pool = if next() % 2 == 0 { Pool::Int } else { Pool::Mem };
-                let e = entry(seq as usize, seq, pool);
-                assert_eq!(
-                    fused.allocate(e.clone()),
-                    generic.allocate(e),
-                    "free lists diverged"
-                );
-                seq += 1;
+        for kind in [SchedulerKind::Orinoco, SchedulerKind::Shift] {
+            let mut rng = 0xFACE_FEED_0BAD_F00Du64;
+            let mut next = move || {
+                rng ^= rng >> 12;
+                rng ^= rng << 25;
+                rng ^= rng >> 27;
+                rng.wrapping_mul(0x2545_F491_4F6C_DD1D)
+            };
+            let mut fused = IssueQueue::new(kind, 16);
+            let mut generic = IssueQueue::new(SchedulerKind::CriOrinoco, 16);
+            let mut seq = 0u64;
+            for round in 0..500 {
+                while fused.has_space() && next() % 4 != 0 {
+                    let pool = if next() % 2 == 0 { Pool::Int } else { Pool::Mem };
+                    let e = entry(seq as usize, seq, pool);
+                    assert_eq!(
+                        fused.allocate(e.clone()),
+                        generic.allocate(e),
+                        "{kind:?} free lists diverged"
+                    );
+                    seq += 1;
+                }
+                let width = (next() % 5) as usize;
+                let mut bf = budgets(2);
+                if round % 3 == 0 {
+                    bf[Pool::Mem.idx()] = 0; // starve a pool: budget-skip path
+                }
+                let mut bg = bf;
+                let gf: Vec<u64> =
+                    fused.select(&mut bf, width).iter().map(|(_, e)| e.seq).collect();
+                let gg: Vec<u64> =
+                    generic.select(&mut bg, width).iter().map(|(_, e)| e.seq).collect();
+                assert_eq!(gf, gg, "{kind:?} grants diverged from generic path");
+                assert_eq!(bf, bg, "{kind:?} budget consumption diverged");
             }
-            let width = (next() % 5) as usize;
-            let mut bf = budgets(2);
-            if round % 3 == 0 {
-                bf[Pool::Mem.idx()] = 0; // starve a pool: budget-skip path
-            }
-            let mut bg = bf;
-            let gf: Vec<u64> =
-                fused.select(&mut bf, width).iter().map(|(_, e)| e.seq).collect();
-            let gg: Vec<u64> =
-                generic.select(&mut bg, width).iter().map(|(_, e)| e.seq).collect();
-            assert_eq!(gf, gg, "fused grants diverged from generic path");
-            assert_eq!(bf, bg, "budget consumption diverged");
         }
     }
 }

@@ -354,15 +354,11 @@ impl Core {
             .scheduler
             .uses_criticality()
             .then(CriticalityEngine::new);
-        let mut rob = Rob::new(cfg.rob_entries);
-        // Only the Orinoco grant scan pops the completion heap; leave the
-        // feed off under policies that would let it grow without bound.
-        rob.set_completion_heap_tracking(cfg.commit == CommitKind::Orinoco);
         Self {
             fetch: FetchUnit::new(src, &cfg),
             fq: VecDeque::new(),
             rename: RenameUnit::new(cfg.phys_regs),
-            rob,
+            rob: Rob::new(cfg.rob_entries),
             iqs: if cfg.split_iq {
                 cfg.split_iq_capacities()
                     .into_iter()
@@ -808,30 +804,30 @@ impl Core {
         self.chaos_spec_flip.is_none() && self.spec_dispatched > 0
     }
 
-    /// Naive O(n²) cross-check of the unordered-commit invariants,
-    /// independent of the matrix logic (integration tests): every entry
-    /// the commit scheduler currently grants must have **no older live
-    /// speculative instruction**, and the ROB's order bookkeeping must be
-    /// self-consistent.
+    /// Cross-checks the unordered-commit invariants against the live ROB
+    /// (integration tests; O(n²), in every build profile):
+    ///
+    /// * the commit grants of the dispatch-order walk — under the
+    ///   configured commit width and depth window — equal those of the
+    ///   paper's merged age-matrix + `SPEC` scheduler rebuilt from the
+    ///   live entries in dispatch order, and live dispatch order is
+    ///   strictly seq-ascending ([`Rob::grants_orinoco_matrix`]);
+    /// * independently of either, no granted entry has an older live
+    ///   speculative instruction.
     ///
     /// # Panics
     ///
-    /// Panics if any granted entry has an older live entry that is still
-    /// possibly-excepting/misspeculating, or the order state is corrupt.
+    /// Panics if the walk and the matrix disagree, dispatch order is not
+    /// seq-ascending, or any granted entry has an older live entry that is
+    /// still possibly-excepting/misspeculating.
     #[doc(hidden)]
     pub fn debug_verify_commit_invariants(&self) {
-        // The matrix-backed cross-checks need the lazily-dispatched age
-        // matrix, which only debug builds maintain; the seq/SPEC-based
-        // O(n²) invariant below stays live in release oracle runs.
-        #[cfg(debug_assertions)]
-        {
-            self.rob.assert_order_consistent();
-            assert_eq!(
-                self.rob.grants_orinoco_depth(self.cfg.commit_width, self.cfg.commit_depth),
-                self.rob.grants_orinoco_matrix(self.cfg.commit_width, self.cfg.commit_depth),
-                "walk-based commit grants diverged from the matrix scan",
-            );
-        }
+        let (width, depth) = (self.cfg.commit_width, self.cfg.commit_depth);
+        assert_eq!(
+            self.rob.grants_orinoco_depth(width, depth),
+            self.rob.grants_orinoco_matrix(width, depth),
+            "walk-based commit grants diverged from the matrix oracle",
+        );
         let live = self.rob.in_order(self.rob.capacity());
         for idx in self.rob.grants_orinoco(usize::MAX) {
             let g = self.rob.entry(idx);
@@ -1685,7 +1681,7 @@ impl Core {
     fn commit_orinoco(&mut self, ooo_ready_known: &mut Option<bool>) -> usize {
         let mut grants = std::mem::take(&mut self.scratch_commit);
         self.rob
-            .grants_orinoco_depth_hot(self.cfg.commit_width, self.cfg.commit_depth, &mut grants);
+            .grants_orinoco_into(self.cfg.commit_width, self.cfg.commit_depth, &mut grants);
         if self.cfg.commit_depth.is_none() {
             // Valid on zero-commit cycles only, which is the only time the
             // caller consults it (commits mutate the ROB underneath).
@@ -1703,7 +1699,6 @@ impl Core {
                 // Stores leave the SQ in FIFO order and need SB space.
                 let head_ok = self.lsq.sq_head_rob_idx() == Some(idx);
                 if !head_ok || self.sb.len() >= self.cfg.sq_entries {
-                    self.rob.regrant(idx);
                     continue;
                 }
             }
@@ -1715,7 +1710,6 @@ impl Core {
                 if !self.scratch_older_np.is_zero() {
                     let Some(row) = self.ldt_free.pop() else {
                         self.cyc_ldt_full = true;
-                        self.rob.regrant(idx);
                         continue; // LDT full: retry next cycle
                     };
                     let line = mem_addr.expect("load without address") / 64;

@@ -1,6 +1,14 @@
-//! The non-collapsible reorder buffer: free-list allocation, the merged
-//! age-matrix/`SPEC`-vector commit scheduler of §3.2, and the in-order view
-//! needed by the baseline commit policies.
+//! The non-collapsible reorder buffer: free-list allocation into any
+//! slot, the `SPEC` vector of the merged commit scheduler (§3.2), and the
+//! dispatch-order deque that is the ROB's one program order.
+//!
+//! Every order query walks that deque. The Orinoco commit grants and the
+//! any-grant stall probe walk it oldest first and stop at the first live
+//! `SPEC` entry; the in-order commit policies take its live prefix; a
+//! squash takes its live suffix. The age matrix of the paper is the
+//! oracle, not a second scheduler: [`Rob::grants_orinoco_matrix`] rebuilds
+//! the merged [`CommitScheduler`] from the live entries and must grant
+//! exactly what the walk grants.
 
 use crate::rename::PhysReg;
 use orinoco_isa::{ArchReg, DynInst, InstClass, Opcode};
@@ -77,39 +85,28 @@ pub struct RobEntry {
 pub struct Rob {
     slots: Vec<Option<RobEntry>>,
     free: Vec<usize>,
-    sched: CommitScheduler,
+    /// The `SPEC` vector of the merged commit scheduler (§3.2): the
+    /// occupant may still misspeculate or fault.
+    spec: BitVec64,
     completed: BitVec64,
-    /// Program-order view (dispatch order) as `(slot, generation)`
-    /// pairs; a pair is stale — skipped lazily — once the slot was freed
-    /// or recycled. Staleness is a generation compare rather than a seq
-    /// compare: a squash + refetch re-installs the *same* dynamic
-    /// instruction (same seq) and can land in the *same* slot, which
-    /// would make an identical `(slot, seq)` pair ambiguous with its
-    /// stale twin — generations never repeat for a slot.
+    /// Program order (dispatch order) as `(slot, generation)` pairs —
+    /// the ROB's one order. A pair is stale — skipped lazily — once the
+    /// slot was freed or recycled. Staleness is a generation compare
+    /// rather than a seq compare: a squash + refetch re-installs the
+    /// *same* dynamic instruction (same seq) and can land in the *same*
+    /// slot, which would make an identical `(slot, seq)` pair ambiguous
+    /// with its stale twin — generations never repeat for a slot.
+    ///
+    /// Live pairs are strictly seq-ascending: fetch numbers in order,
+    /// wrong-path synthetics start above `1 << 62` and only grow, and
+    /// squashes remove suffixes and re-inject in seq order. So the squash
+    /// set of [`Rob::from_seq_into`] is a live suffix of the deque.
     order: VecDeque<(usize, u64)>,
     /// Per-slot generation counters (bumped on free) to invalidate stale
     /// events and stale `order` pairs.
     gens: Vec<u64>,
-    /// Compact per-slot copy of the occupant's sequence number
-    /// (`u64::MAX` when empty), so the per-cycle commit walk can test
-    /// pair staleness without dereferencing the wide `RobEntry` slots.
-    seq_of: Vec<u64>,
     /// Compact retired-zombie bits, mirroring `RobEntry::retired`.
     retired_bits: BitVec64,
-    /// Completed entries as a min-heap of `(seq, slot, generation)`, fed
-    /// by [`Rob::mark_completed`]: the per-cycle grant scan pops the
-    /// `width` oldest instead of re-scanning the whole completed backlog.
-    /// Entries go stale in place when their slot is freed or squashed;
-    /// the generation compare filters them as they surface at the min.
-    commit_heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, usize, u64)>>,
-    /// Whether the last grant batch popped its heap keys (heap fast
-    /// path) — gates [`Rob::regrant`] so walk-path grants, whose keys
-    /// never left the heap, are not duplicated.
-    grants_consume_keys: bool,
-    /// Whether [`Rob::mark_completed`] feeds the heap (off under commit
-    /// policies that never pop it — see
-    /// [`Rob::set_completion_heap_tracking`]).
-    track_completion_heap: bool,
     logical_cap: usize,
     logical_used: usize,
 }
@@ -122,18 +119,14 @@ impl Rob {
         Self {
             slots: vec![None; physical],
             free: (0..physical).rev().collect(),
-            sched: CommitScheduler::new(physical),
+            spec: BitVec64::new(physical),
             completed: BitVec64::new(physical),
             // 2x the physical slot count: stale pairs accumulate between
             // lazy compactions (see `install`), and the headroom keeps
             // pushes amortised allocation-free.
             order: VecDeque::with_capacity(physical * 2),
             gens: vec![0; physical],
-            seq_of: vec![u64::MAX; physical],
             retired_bits: BitVec64::new(physical),
-            commit_heap: std::collections::BinaryHeap::with_capacity(physical),
-            grants_consume_keys: false,
-            track_completion_heap: true,
             logical_cap: cap,
             logical_used: 0,
         }
@@ -168,12 +161,6 @@ impl Rob {
     pub fn zombie_count(&self) -> usize {
         let physical_used = self.slots.len() - self.free.len();
         physical_used - self.logical_used
-    }
-
-    /// The merged commit scheduler (age matrix + SPEC vector).
-    #[must_use]
-    pub fn scheduler(&self) -> &CommitScheduler {
-        &self.sched
     }
 
     /// Generation of `idx`, for event tagging.
@@ -241,11 +228,7 @@ impl Rob {
 
     fn install(&mut self, idx: usize, entry: RobEntry, speculative: bool) {
         self.logical_used += 1;
-        // Lazy dispatch: every release-mode commit decision reads the
-        // `order` deque walk (or the SPEC vector), never the age matrix,
-        // so the per-dispatch row/column writes are debug-only oracle
-        // maintenance (see `AgeMatrix::dispatch_lazy`).
-        self.sched.dispatch_lazy(idx, speculative);
+        self.spec.assign(idx, speculative);
         self.completed.clear(idx);
         // Lazily compact stale pairs once they dominate the deque; live
         // pairs never exceed the physical slot count, so after compaction
@@ -255,7 +238,6 @@ impl Rob {
             self.order.retain(|&(i, g)| slots[i].is_some() && gens[i] == g);
         }
         self.order.push_back((idx, self.gens[idx]));
-        self.seq_of[idx] = entry.seq;
         self.retired_bits.clear(idx);
         self.slots[idx] = Some(entry);
     }
@@ -288,82 +270,40 @@ impl Rob {
     /// Marks execution complete.
     pub fn mark_completed(&mut self, idx: usize) {
         self.entry_mut(idx).completed = true;
-        // The not-already-set guard keeps heap keys unique: a duplicate
-        // live key would double-grant in one batch.
-        if !self.completed.get(idx) {
-            self.completed.set(idx);
-            if self.track_completion_heap {
-                self.commit_heap.push(std::cmp::Reverse((self.seq_of[idx], idx, self.gens[idx])));
-            }
-        }
-    }
-
-    /// Enables or disables the completion min-heap feed (on by default).
-    ///
-    /// Only the Orinoco unordered-commit grant scan pops the heap; under
-    /// the in-order and oracle commit policies nothing ever would, and
-    /// the keys pushed per completion would accumulate without bound.
-    /// [`crate::Core`] switches the feed off for those policies.
-    pub fn set_completion_heap_tracking(&mut self, on: bool) {
-        assert!(
-            self.commit_heap.is_empty() || on,
-            "cannot disable completion-heap tracking with keys outstanding",
-        );
-        self.track_completion_heap = on;
+        self.completed.set(idx);
     }
 
     /// Clears the `SPEC` bit (the instruction can no longer misspeculate
     /// or fault).
     pub fn mark_safe(&mut self, idx: usize) {
-        self.sched.mark_safe(idx);
+        self.spec.clear(idx);
     }
 
-    /// Re-sets the `SPEC` bit (replay).
+    /// Re-sets the `SPEC` bit (replay). Not for a retired zombie: it has
+    /// already committed, and [`Rob::head`] may have popped it.
     pub fn mark_speculative(&mut self, idx: usize) {
-        self.sched.mark_speculative(idx);
+        self.spec.set(idx);
     }
 
     /// `true` if the instruction's own `SPEC` bit is clear.
     #[must_use]
     pub fn is_safe_self(&self, idx: usize) -> bool {
-        !self.sched.is_speculative(idx)
+        !self.spec.get(idx)
     }
 
-    /// The sequence number of the oldest live speculative entry, or
-    /// `u64::MAX` when nothing is speculative. Live dispatch order is
-    /// strictly seq-ascending (fetch numbers in order, wrong-path
-    /// synthetics start above `1 << 62` and only grow, squashes remove
-    /// suffixes and re-inject in seq order), so this single value is the
-    /// whole commit frontier: an entry has no older speculation exactly
-    /// when its seq is below it.
-    fn oldest_live_spec_seq(&self) -> u64 {
-        let mut min = u64::MAX;
-        for i in self.sched.spec().iter_ones_and(self.sched.age().valid()) {
-            min = min.min(self.seq_of[i]);
-        }
-        min
-    }
-
-    /// `true` if no *older* in-flight instruction may misspeculate or
-    /// fault (the row ∧ SPEC reduction-NOR of the merged scheduler),
-    /// answered by a seq compare against the oldest live speculative
-    /// entry (the matrix row is debug-only under lazy dispatch).
-    #[must_use]
-    pub fn is_safe_globally(&self, idx: usize) -> bool {
-        let seq = self.seq_of[idx];
-        let mut safe = true;
-        for i in self.sched.spec().iter_ones_and(self.sched.age().valid()) {
-            if self.seq_of[i] < seq {
-                safe = false;
-                break;
-            }
-        }
-        debug_assert_eq!(
-            safe,
-            self.sched.globally_safe(idx),
-            "seq global-safety diverged from the matrix reduction",
-        );
-        safe
+    /// The one walk behind every Orinoco grant query (see
+    /// [`Rob::grants_orinoco_into`]): the grantable entries, oldest first.
+    /// Only the compact side arrays (`gens`, bit vectors) are read: the
+    /// wide `RobEntry` slots would cost a cache miss per step.
+    fn grantable(&self, depth: Option<usize>) -> impl Iterator<Item = usize> + '_ {
+        self.order
+            .iter()
+            .filter(|&&(i, g)| self.gens[i] == g)
+            .map(|&(i, _)| i)
+            .take_while(|&i| !self.spec.get(i))
+            .filter(move |&i| depth.is_none() || !self.retired_bits.get(i))
+            .take(depth.unwrap_or(usize::MAX))
+            .filter(|&i| self.completed.get(i))
     }
 
     /// The out-of-order commit grants of the Orinoco policy: up to `width`
@@ -376,304 +316,101 @@ impl Rob {
 
     /// `true` if at least one instruction would be granted commit this
     /// cycle — the allocation-free stall test (equivalent to
-    /// `!grants_orinoco(1).is_empty()`). Like the grant scan, this walks
-    /// the order deque: a grant exists exactly when some live completed
-    /// entry precedes the oldest live speculative entry.
+    /// `!grants_orinoco(1).is_empty()`).
     #[must_use]
     pub fn any_grant_orinoco(&self) -> bool {
-        let frontier = self.oldest_live_spec_seq();
-        let mut any = false;
-        for i in self.completed.iter_ones() {
-            if self.seq_of[i] < frontier {
-                any = true;
-                break;
-            }
-        }
-        debug_assert_eq!(
-            any,
-            self.sched.any_commit_grant(&self.completed),
-            "seq any-grant diverged from the matrix scan",
-        );
-        any
+        self.grantable(None).next().is_some()
     }
 
-    /// Like [`Rob::grants_orinoco`] but restricted to the `depth` oldest
-    /// live entries — the "limited commit depth" ablation of §6.2 (how far
-    /// the core can scan to find instructions to commit out of order).
+    /// Allocating form of [`Rob::grants_orinoco_into`].
     #[must_use]
     pub fn grants_orinoco_depth(&self, width: usize, depth: Option<usize>) -> Vec<usize> {
         let mut out = Vec::new();
-        self.grants_orinoco_depth_into(width, depth, &mut out);
+        self.grants_orinoco_into(width, depth, &mut out);
         out
     }
 
-    /// Allocation-free commit-grant scan: grants land in the caller-owned
-    /// `out`. This is the per-cycle hot path of [`crate::Core`]: the
-    /// `width` oldest grantable entries are popped off the completion
-    /// heap — O(width · log backlog) — instead of re-scanning the whole
-    /// completed backlog every cycle.
+    /// The Orinoco commit grants, oldest first, written into the
+    /// caller-owned `out` (cleared first) without allocating — the
+    /// per-cycle hot path of [`crate::Core`].
     ///
-    /// The pop **consumes** each grant's heap key. The common case frees
-    /// the grant at commit this cycle, so a blind re-push would only
-    /// produce a stale key to be popped and discarded next cycle —
-    /// doubling heap traffic per instruction. A grant the caller *cannot*
-    /// consume (store-buffer backpressure, full lockdown table) must be
-    /// handed back via [`Rob::regrant`] before the next cycle, or it
-    /// silently stops being commit-eligible. (The depth-limited walk does
-    /// not touch heap keys; `regrant` is a no-op for its grants — see the
-    /// guard in `regrant`.)
-    pub fn grants_orinoco_depth_hot(
-        &mut self,
-        width: usize,
-        depth: Option<usize>,
-        out: &mut Vec<usize>,
-    ) {
-        // Commit drains the front of the program order, so stale pairs
-        // concentrate there: popping them now shortens the head probe and
-        // every other order walk this cycle.
+    /// The merged scheduler's grant condition — completed ∧ ¬SPEC ∧ no
+    /// older live `SPEC` entry (`row & SPEC` reduction-NORs to zero) — is
+    /// monotone in age: the oldest live `SPEC` entry blocks every younger
+    /// entry and nothing older. So the grants are the first `width`
+    /// completed entries of a walk over the order deque that stops at the
+    /// first live `SPEC` entry. `Some(d)` restricts them to the `d` oldest
+    /// live, non-retired entries — the "limited commit depth" ablation of
+    /// §6.2 (how far the core can scan to find instructions to commit out
+    /// of order). Retired zombies sit outside that window but still block
+    /// through their `SPEC` bit.
+    pub fn grants_orinoco_into(&self, width: usize, depth: Option<usize>, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend(self.grantable(depth).take(width));
+    }
+
+    /// The matrix oracle of [`Rob::grants_orinoco_depth`]: the merged
+    /// [`CommitScheduler`] of §3.2 is rebuilt from the live entries in
+    /// dispatch order and asked for its `width` oldest grants among the
+    /// completed entries of the `depth` window. The only live entries it
+    /// leaves out are the resolved zombies [`Rob::head`] popped: their
+    /// `SPEC` bit is clear, and the pipeline frees a zombie the moment it
+    /// completes, so they can neither be granted nor block a grant.
+    /// Rebuilding costs O(n²) per call; the invariant checks of
+    /// [`crate::Core`] and the tests call it, the pipeline never does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if live dispatch order is not strictly seq-ascending — the
+    /// invariant the squash walk and the issue queue's seq sort rest on.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn grants_orinoco_matrix(&self, width: usize, depth: Option<usize>) -> Vec<usize> {
+        let n = self.slots.len();
+        let mut sched = CommitScheduler::new(n);
+        let mut window = BitVec64::new(n);
+        let mut room = depth.unwrap_or(usize::MAX);
+        let mut prev = None;
+        for &(i, g) in &self.order {
+            if self.gens[i] != g {
+                continue;
+            }
+            let seq = self.entry(i).seq;
+            assert!(prev < Some(seq), "live dispatch order not seq-ascending at seq {seq}");
+            prev = Some(seq);
+            sched.dispatch(i, self.spec.get(i));
+            if room > 0 && (depth.is_none() || !self.retired_bits.get(i)) {
+                room -= 1;
+                window.assign(i, self.completed.get(i));
+            }
+        }
+        sched.commit_grants(&window, width)
+    }
+
+    /// The oldest live, non-retired instruction (the "head" of the logical
+    /// FIFO). Stale pairs and resolved zombies at the front are popped for
+    /// good — a zombie never blocks the head again — which also keeps the
+    /// front of every later walk this cycle short. A zombie whose `SPEC`
+    /// bit is still set (a BR branch retired before it resolved) stays in
+    /// the deque: like its row ∧ `SPEC` in the matrix, it must block every
+    /// younger grant until it resolves.
+    #[must_use]
+    pub fn head(&mut self) -> Option<usize> {
         while let Some(&(i, g)) = self.order.front() {
-            if self.gens[i] == g {
+            if self.gens[i] == g && (!self.retired_bits.get(i) || self.spec.get(i)) {
                 break;
             }
             self.order.pop_front();
         }
-        if depth.is_some() {
-            // The walk leaves heap keys in place: `regrant` must not
-            // duplicate them.
-            self.grants_consume_keys = false;
-            self.grants_orinoco_walk_into(width, depth, out);
-            return;
-        }
-        self.grants_consume_keys = true;
-        debug_assert!(
-            self.track_completion_heap,
-            "heap grant scan with the completion-heap feed disabled",
-        );
-        out.clear();
-        if width == 0 {
-            return;
-        }
-        let frontier = self.oldest_live_spec_seq();
-        while out.len() < width {
-            let Some(&std::cmp::Reverse((seq, slot, gen))) = self.commit_heap.peek() else {
-                break;
-            };
-            if self.gens[slot] != gen {
-                // Freed or squashed since completion: discard for good.
-                self.commit_heap.pop();
-                continue;
-            }
-            debug_assert!(self.completed.get(slot), "live heap key for incomplete entry");
-            if seq >= frontier {
-                break; // everything left is blocked by older speculation
-            }
-            self.commit_heap.pop();
-            out.push(slot);
-        }
-        #[cfg(debug_assertions)]
-        {
-            // Allocation-free replay of the order-deque walk (the
-            // alloc_free test runs this every cycle).
-            let mut k = 0;
-            for &(i, g) in &self.order {
-                if self.gens[i] != g {
-                    continue;
-                }
-                if self.sched.is_speculative(i) {
-                    break;
-                }
-                if self.completed.get(i) {
-                    debug_assert!(
-                        k < out.len() && out[k] == i,
-                        "heap grants diverged from the order walk",
-                    );
-                    k += 1;
-                    if k == width {
-                        break;
-                    }
-                }
-            }
-            debug_assert_eq!(k, out.len(), "heap grants over-granted");
-        }
+        self.unretired().next()
     }
 
-    /// Hands an unconsumed grant back to the completion heap.
-    ///
-    /// [`Rob::grants_orinoco_depth_hot`]'s heap path consumes each
-    /// grant's key on pop; a grant the commit stage could not retire this
-    /// cycle (store-buffer backpressure, lockdown-table exhaustion) must
-    /// be returned here or it would never be offered again. No-op after a
-    /// depth-limited walk, whose grants never left the heap.
-    pub fn regrant(&mut self, slot: usize) {
-        if !self.grants_consume_keys {
-            return;
-        }
-        debug_assert!(self.completed.get(slot), "regrant of an incomplete entry");
-        self.commit_heap.push(std::cmp::Reverse((self.seq_of[slot], slot, self.gens[slot])));
-    }
-
-    /// The Orinoco grant set without the matrix rank scan.
-    ///
-    /// The grant condition of [`CommitScheduler::commit_grants_into`] —
-    /// completed ∧ valid ∧ ¬SPEC ∧ "no older live SPEC entry" — is
-    /// *monotone in age*: the oldest live speculative entry blocks every
-    /// younger entry, and nothing older than it is blocked. Because live
-    /// dispatch order is strictly seq-ascending (see
-    /// [`Rob::oldest_live_spec_seq`]), the grants are exactly the `width`
-    /// smallest-seq completed entries below that frontier, found by one
-    /// scan of the completed bit vector — O(completed backlog) instead of
-    /// O(order-deque length) per cycle, and immune to the interior stale
-    /// pairs unordered commit leaves behind. The depth-limited ablation
-    /// keeps the deque walk ([`Rob::grants_orinoco_walk_into`], also the
-    /// debug oracle here); [`Rob::grants_orinoco_matrix`] pins both
-    /// against the hardware-faithful matrix path.
-    fn grants_orinoco_depth_into(&self, width: usize, depth: Option<usize>, out: &mut Vec<usize>) {
-        if depth.is_some() {
-            self.grants_orinoco_walk_into(width, depth, out);
-            return;
-        }
-        out.clear();
-        if width == 0 {
-            return;
-        }
-        let frontier = self.oldest_live_spec_seq();
-        for i in self.completed.iter_ones() {
-            let s = self.seq_of[i];
-            if s >= frontier {
-                continue; // blocked by (or is) older live speculation
-            }
-            // Keep `out` sorted by seq ascending, capped at `width`:
-            // insertion over ≤ commit-width elements.
-            if out.len() == width {
-                let last = *out.last().expect("width > 0");
-                if s >= self.seq_of[last] {
-                    continue;
-                }
-                out.pop();
-            }
-            let pos = out.iter().position(|&j| self.seq_of[j] > s).unwrap_or(out.len());
-            out.insert(pos, i);
-        }
-        #[cfg(debug_assertions)]
-        {
-            // Allocation-free replay of the order-deque walk against the
-            // seq scan (the alloc_free test runs this path every cycle).
-            let mut k = 0;
-            for &(i, g) in &self.order {
-                if self.gens[i] != g {
-                    continue;
-                }
-                if self.sched.is_speculative(i) {
-                    break;
-                }
-                if self.completed.get(i) {
-                    debug_assert!(
-                        k < out.len() && out[k] == i,
-                        "seq grant scan diverged from the order walk",
-                    );
-                    k += 1;
-                    if k == width {
-                        break;
-                    }
-                }
-            }
-            debug_assert_eq!(k, out.len(), "seq grant scan over-granted");
-        }
-    }
-
-    /// The order-deque walk form of the grant scan: oldest→youngest,
-    /// stopping at the first live speculative entry. Hot path for the
-    /// depth-limited ablation only; debug oracle for the seq scan above.
-    fn grants_orinoco_walk_into(&self, width: usize, depth: Option<usize>, out: &mut Vec<usize>) {
-        out.clear();
-        if width == 0 {
-            return;
-        }
-        let mut walked = 0usize;
-        // Only the compact side-arrays (`gens`, bit vectors) are read:
-        // the wide `RobEntry` slots would cost a cache miss per step.
-        for &(i, g) in &self.order {
-            if self.gens[i] != g {
-                continue; // stale pair: the slot was freed or recycled
-            }
-            // Live in the scheduler. The oldest live SPEC entry blocks
-            // every younger entry (their row ∧ SPEC is non-zero).
-            if self.sched.is_speculative(i) {
-                break;
-            }
-            if let Some(d) = depth {
-                // The depth window covers the `d` oldest live, non-retired
-                // entries; retired zombies sit outside it but still block
-                // via their SPEC bit (checked above).
-                if self.retired_bits.get(i) {
-                    continue;
-                }
-                if walked == d {
-                    break;
-                }
-                walked += 1;
-            }
-            if self.completed.get(i) {
-                out.push(i);
-                if out.len() == width {
-                    break;
-                }
-            }
-        }
-    }
-
-    /// The matrix-scan reference implementation of
-    /// [`Rob::grants_orinoco_depth`] — the hardware-faithful path the walk
-    /// is cross-checked against (see
-    /// `Pipeline::debug_verify_commit_invariants`). Only meaningful in
-    /// builds with debug assertions, where the lazy dispatch keeps the age
-    /// matrix maintained.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn grants_orinoco_matrix(&self, width: usize, depth: Option<usize>) -> Vec<usize> {
-        let mut out = Vec::new();
-        let mut candidates = BitVec64::new(self.slots.len());
-        match depth {
-            None => {
-                self.sched.commit_grants_into(&self.completed, width, &mut candidates, &mut out);
-            }
-            Some(d) => {
-                let mut window = BitVec64::new(self.slots.len());
-                let mut taken = 0usize;
-                for &(i, g) in &self.order {
-                    if taken >= d {
-                        break;
-                    }
-                    if self.gens[i] == g && !self.retired_bits.get(i) {
-                        window.set(i);
-                        taken += 1;
-                    }
-                }
-                window.and_assign(&self.completed);
-                self.sched.commit_grants_into(&window, width, &mut candidates, &mut out);
-            }
-        }
-        out
-    }
-
-    /// The oldest live, non-retired instruction (the "head" of the logical
-    /// FIFO). Retired zombies are popped lazily — they never block the
-    /// head again.
-    #[must_use]
-    pub fn head(&mut self) -> Option<usize> {
-        while let Some(&(idx, gen)) = self.order.front() {
-            if self.gens[idx] == gen {
-                if !self.retired_bits.get(idx) {
-                    return Some(idx);
-                }
-                // Retired zombie: never blocks the head again.
-                self.order.pop_front();
-            } else {
-                // Freed or recycled slot: stale pair.
-                self.order.pop_front();
-            }
-        }
-        None
+    /// Live, non-retired entries in program order.
+    fn unretired(&self) -> impl Iterator<Item = usize> + '_ {
+        self.order
+            .iter()
+            .filter(|&&(i, g)| self.gens[i] == g && !self.retired_bits.get(i))
+            .map(|&(i, _)| i)
     }
 
     /// The first `k` live, non-retired entries in program order.
@@ -688,13 +425,7 @@ impl Rob {
     /// prefix is written into the caller-owned `out` (cleared first).
     pub fn in_order_into(&self, k: usize, out: &mut Vec<usize>) {
         out.clear();
-        out.extend(
-            self.order
-                .iter()
-                .filter(|&&(i, g)| self.gens[i] == g && !self.retired_bits.get(i))
-                .map(|&(i, _)| i)
-                .take(k),
-        );
+        out.extend(self.unretired().take(k));
     }
 
     /// Live entries younger than sequence `seq`, youngest first — the
@@ -718,18 +449,21 @@ impl Rob {
     }
 
     /// Allocation-free counterpart of [`Rob::from_seq`]: the squash set is
-    /// written into the caller-owned `out` (cleared first).
+    /// written into the caller-owned `out` (cleared first). Live dispatch
+    /// order is seq-ascending, so the set is the live suffix of the order
+    /// deque, collected by walking it from the back.
     pub fn from_seq_into(&self, from: u64, out: &mut Vec<usize>) {
         out.clear();
-        out.extend(
-            self.order
-                .iter()
-                .filter(|&&(i, g)| self.gens[i] == g && self.seq_of[i] >= from)
-                .map(|&(i, _)| i),
-        );
-        out.sort_unstable_by_key(|&i| std::cmp::Reverse(self.entry(i).seq));
-        for &i in out.iter() {
-            debug_assert!(!self.entry(i).retired, "squash of retired zombie");
+        for &(i, g) in self.order.iter().rev() {
+            if self.gens[i] != g {
+                continue;
+            }
+            let e = self.entry(i);
+            if e.seq < from {
+                break;
+            }
+            debug_assert!(!e.retired, "squash of retired zombie");
+            out.push(i);
         }
     }
 
@@ -761,10 +495,9 @@ impl Rob {
         if !entry.retired {
             self.logical_used -= 1;
         }
-        self.sched.free(idx);
+        self.spec.clear(idx);
         self.completed.clear(idx);
         self.gens[idx] += 1;
-        self.seq_of[idx] = u64::MAX;
         self.retired_bits.clear(idx);
         self.free.push(idx);
         entry
@@ -775,34 +508,15 @@ impl Rob {
     /// pop order so slot placement — and therefore every downstream
     /// random-allocation decision — matches a newly built ROB exactly.
     pub fn reset(&mut self) {
-        for i in 0..self.slots.len() {
-            if self.slots[i].take().is_some() {
-                self.sched.free(i);
-            }
-            self.gens[i] = 0;
-            self.seq_of[i] = u64::MAX;
-        }
+        self.slots.fill(None);
+        self.gens.fill(0);
+        self.spec.clear_all();
         self.completed.clear_all();
         self.retired_bits.clear_all();
         self.order.clear();
-        self.commit_heap.clear();
         self.free.clear();
         self.free.extend((0..self.slots.len()).rev());
         self.logical_used = 0;
-    }
-
-    /// Cross-checks the deque-based program order against the age matrix
-    /// (tests only; O(n²); requires debug assertions so the lazy dispatch
-    /// maintained the matrix).
-    pub fn assert_order_consistent(&self) {
-        let live: Vec<usize> = self
-            .order
-            .iter()
-            .filter(|&&(i, g)| self.gens[i] == g)
-            .map(|&(i, _)| i)
-            .collect();
-        let matrix_order = self.sched.age().valid_in_age_order();
-        assert_eq!(live, matrix_order, "deque/matrix order divergence");
     }
 }
 
@@ -848,7 +562,7 @@ mod tests {
         assert_eq!(rob.head(), Some(a));
         rob.free(a);
         assert_eq!(rob.head(), Some(b));
-        rob.assert_order_consistent();
+        assert_eq!(rob.in_order(8), vec![b]);
     }
 
     #[test]
@@ -870,7 +584,7 @@ mod tests {
         assert!(rob.grants_orinoco(4).is_empty());
         rob.mark_safe(br);
         assert_eq!(rob.grants_orinoco(4), vec![c]);
-        assert!(rob.is_safe_globally(c));
+        assert_eq!(rob.grants_orinoco_matrix(4, None), vec![c]);
     }
 
     #[test]
@@ -907,7 +621,6 @@ mod tests {
         rob.free(b);
         let order = rob.in_order(8);
         assert_eq!(order, vec![a, c]);
-        rob.assert_order_consistent();
     }
 
     #[test]

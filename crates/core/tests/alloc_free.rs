@@ -5,7 +5,9 @@
 //! the pipeline structures and is reused cycle after cycle.
 //!
 //! The binary installs [`orinoco_util::alloc_counter::CountingAlloc`] as
-//! the global allocator and snapshots its counter around a measured run.
+//! the global allocator and snapshots the calling thread's counter around
+//! a measured run: the two tests run concurrently, and a process-wide
+//! count would pick up the other test's allocations.
 //! The kernel mixes ALU ops, long-latency multiplies, and data-dependent
 //! (hence mispredicting) branches, so the measured window exercises the
 //! issue, wakeup, unordered-commit, squash and re-inject paths — not just
@@ -19,7 +21,7 @@
 
 use orinoco_core::{CommitKind, Core, CoreConfig, SchedulerKind};
 use orinoco_isa::{ArchReg, Emulator, ProgramBuilder};
-use orinoco_util::alloc_counter::{alloc_count, CountingAlloc};
+use orinoco_util::alloc_counter::{thread_alloc_count, CountingAlloc};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -71,16 +73,22 @@ fn measure_steady_state(core: &mut Core) -> u64 {
     }
     assert!(!core.finished(), "kernel drained during warmup");
 
+    // Positive control: the counter sees this thread's allocations, so a
+    // zero below is a measurement, not a dead counter.
+    let probe = thread_alloc_count();
+    drop(std::hint::black_box(Box::new(0u64)));
+    assert!(thread_alloc_count() > probe, "the thread allocation counter is not counting");
+
     const MEASURED: u64 = 20_000;
     if std::env::var_os("ORINOCO_ALLOC_TRAP").is_some() {
         orinoco_util::alloc_counter::trap_on_next_alloc(true);
     }
-    let before = alloc_count();
+    let before = thread_alloc_count();
     for _ in 0..MEASURED {
         core.step();
     }
     orinoco_util::alloc_counter::trap_on_next_alloc(false);
-    let allocs = alloc_count() - before;
+    let allocs = thread_alloc_count() - before;
 
     assert!(!core.finished(), "kernel drained during measurement");
     let stats = core.stats();

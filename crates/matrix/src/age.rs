@@ -99,32 +99,6 @@ impl AgeMatrix {
         self.valid.set(slot);
     }
 
-    /// [`AgeMatrix::dispatch`] for callers that keep an **external**
-    /// authoritative age order (the pipeline's order deques) and never read
-    /// the matrix on their hot path: in release builds only the `VLD`
-    /// vector is maintained and the row/column writes — the dominant cost
-    /// of dispatch — are skipped, leaving the matrix contents stale. Debug
-    /// builds maintain the matrix in full so the walk-vs-matrix oracle
-    /// cross-checks stay live.
-    ///
-    /// After a lazy dispatch every matrix-reading query (`select_*`,
-    /// `is_older`, `rank`, `younger_than`, …) is meaningless in release
-    /// builds; only `valid()`-derived state may be read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is out of bounds or already valid.
-    pub fn dispatch_lazy(&mut self, slot: usize) {
-        assert!(!self.valid.get(slot), "dispatch into live slot {slot}");
-        #[cfg(debug_assertions)]
-        {
-            self.m.set_row_all(slot);
-            self.m.clear(slot, slot);
-            self.m.clear_col_masked(slot, &self.valid);
-        }
-        self.valid.set(slot);
-    }
-
     /// Dispatches an instruction whose set of *older* entries is exactly
     /// `older` (used for per-type partial ordering, §5 Figure 13, and as the
     /// building block for criticality dispatch).

@@ -182,20 +182,6 @@ impl CommitScheduler {
         self.spec.assign(slot, speculative);
     }
 
-    /// [`CommitScheduler::dispatch`] via [`AgeMatrix::dispatch_lazy`]: for
-    /// callers whose hot path derives commit grants from an external age
-    /// order (the ROB's order deque) and reads only the `VLD`/`SPEC`
-    /// vectors. Release builds skip the age-matrix row/column maintenance;
-    /// debug builds keep the matrix exact for the oracle cross-checks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is live or out of bounds.
-    pub fn dispatch_lazy(&mut self, slot: usize, speculative: bool) {
-        self.age.dispatch_lazy(slot);
-        self.spec.assign(slot, speculative);
-    }
-
     /// The instruction in `slot` can no longer raise misspeculation or an
     /// exception: clear its `SPEC` bit (the column clear of the standalone
     /// matrix).

@@ -206,9 +206,6 @@ pub struct CosimOptions {
     /// Arm [`Core::inject_spec_flip`] with this 1-based speculative
     /// dispatch ordinal.
     pub inject_spec_flip: Option<u64>,
-    /// Run the naive O(n²) commit-invariant cross-check every this many
-    /// cycles (0 disables it).
-    pub invariant_check_period: u64,
     /// Record the last `trace_capacity` lifecycle events in the DUT's
     /// ring buffer (0 disables tracing). On a divergence the report's
     /// `trace_tail` carries the window as JSONL, so the pipeline activity
@@ -221,7 +218,6 @@ impl Default for CosimOptions {
         Self {
             max_cycles: 50_000_000,
             inject_spec_flip: None,
-            invariant_check_period: 0,
             trace_capacity: 0,
         }
     }
@@ -291,9 +287,6 @@ fn cosim_loop(core: &mut Core, golden: Emulator, opts: &CosimOptions) -> CosimRe
                 divergence = Some(d);
                 break 'sim;
             }
-        }
-        if opts.invariant_check_period != 0 && cycles.is_multiple_of(opts.invariant_check_period) {
-            core.debug_verify_commit_invariants();
         }
     }
     if divergence.is_none() {
