@@ -28,6 +28,7 @@
 #![warn(clippy::all)]
 
 pub mod cache;
+pub mod digest;
 pub mod net;
 pub mod protocol;
 pub mod server;

@@ -40,8 +40,8 @@ impl TcpFront {
             .spawn(move || {
                 let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
                 while !stop.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
+                    match accept(&listener) {
+                        Ok(stream) => {
                             let inner = Arc::clone(&inner);
                             let h = std::thread::Builder::new()
                                 .name("orinoco-conn".into())
@@ -86,6 +86,19 @@ impl Drop for TcpFront {
             let _ = h.join();
         }
     }
+}
+
+/// Accepts one connection with Nagle's algorithm off.
+///
+/// A job answers with two small frames, `Accepted` then `Done`. With
+/// Nagle on, the second waits for the first to be acknowledged, and the
+/// client delays that ACK, so every job would take at least the delayed-ACK
+/// timeout (about 40 ms on Linux). [`TcpClient::connect`] turns it off on
+/// the client's end for the same reason.
+fn accept(listener: &TcpListener) -> std::io::Result<TcpStream> {
+    let (stream, _) = listener.accept()?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
 }
 
 /// Reads exactly one frame payload from `stream` (blocking).
@@ -179,9 +192,12 @@ pub struct TcpClient {
 }
 
 impl TcpClient {
-    /// Connects to a [`TcpFront`].
+    /// Connects to a [`TcpFront`], with Nagle's algorithm off: a
+    /// `Submit` goes out at once, not behind an earlier unacknowledged one.
     pub fn connect(addr: SocketAddr) -> std::io::Result<TcpClient> {
-        Ok(TcpClient { stream: TcpStream::connect(addr)? })
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(TcpClient { stream })
     }
 
     /// Sends one request.
@@ -197,5 +213,19 @@ impl TcpClient {
         Response::decode(&payload)
             .map(Some)
             .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn both_ends_turn_nagle_off() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = TcpClient::connect(listener.local_addr().expect("addr")).expect("connect");
+        let served = accept(&listener).expect("accept");
+        assert!(client.stream.nodelay().expect("client option"), "client end keeps Nagle on");
+        assert!(served.nodelay().expect("server option"), "server end keeps Nagle on");
     }
 }

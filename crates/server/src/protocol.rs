@@ -73,7 +73,7 @@ impl std::error::Error for WireError {}
 
 /// FNV-1a offset basis / prime (64-bit).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// Second offset basis for the high half of 128-bit keys: the canonical
 /// basis XORed with an arbitrary odd constant, giving an independent
 /// stream over the same bytes.
@@ -81,10 +81,12 @@ const FNV_OFFSET_HI: u64 = FNV_OFFSET ^ 0x9E37_79B9_7F4A_7C15;
 
 /// FNV-1a over `bytes` from an explicit basis.
 #[must_use]
-pub fn fnv64_from(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
+pub const fn fnv64_from(mut hash: u64, bytes: &[u8]) -> u64 {
+    let mut i = 0;
+    while i < bytes.len() {
+        hash ^= bytes[i] as u64;
         hash = hash.wrapping_mul(FNV_PRIME);
+        i += 1;
     }
     hash
 }
@@ -680,7 +682,9 @@ pub struct SimResult {
     pub committed: u64,
     /// Full `SimStats` Debug rendering.
     pub stats_debug: String,
-    /// FNV-1a over every commit-event Debug line (order-sensitive).
+    /// FNV-1a over every commit event's `Debug` line (`{:?}` and `\n`), in
+    /// commit order (order-sensitive), computed without formatting by
+    /// [`crate::digest::fold_commit_event`].
     pub commit_digest: u64,
     /// FNV-1a over `stats_debug`.
     pub stats_digest: u64,

@@ -33,8 +33,9 @@
 //! runs on a fresh lane. Failures are not cached.
 
 use crate::cache::{Admission, CacheStats, ResultCache, Ticket};
+use crate::digest::fold_commit_event;
 use crate::protocol::{
-    fnv64, fnv64_from, JobResult, JobSpec, Response, SampleSpec, SampledResult, SimResult, SimSpec,
+    fnv64, JobResult, JobSpec, Response, SampleSpec, SampledResult, SimResult, SimSpec,
 };
 use orinoco_core::{run_sampled, Core, Fleet};
 use orinoco_util::mailbox::Dispatcher;
@@ -270,9 +271,7 @@ fn execute_sim(core: &mut Core, spec: &SimSpec, mut progress: impl FnMut(u64, u6
     loop {
         limit = limit.saturating_add(slice).min(max_cycles);
         let finished = core.run_until(limit);
-        for ev in core.drain_commit_trace() {
-            commit_digest = fnv64_from(commit_digest, format!("{ev:?}\n").as_bytes());
-        }
+        commit_digest = core.drain_commit_trace().iter().fold(commit_digest, fold_commit_event);
         if finished {
             break;
         }
