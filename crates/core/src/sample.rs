@@ -60,7 +60,9 @@
 //! interval only for the most representative stratum of each cluster,
 //! weighted by cluster size — the SimPoint recipe on top of the SMARTS
 //! machinery. All estimators are weight-aware; with every weight 1 they
-//! reduce exactly to the unweighted formulas.
+//! reduce exactly to the unweighted formulas. The pre-pass runs a clone
+//! of the master, step limit included, so it also counts the program's
+//! instructions: the master stops after the last representative.
 //!
 //! # Estimator and error model
 //!
@@ -508,8 +510,12 @@ fn taxonomy_delta(now: &StallTaxonomy, before: &StallTaxonomy) -> StallTaxonomy 
 }
 
 /// Collects one phase-signature vector per `period_insts` stratum of
-/// `emu`'s remaining execution (the program is run to completion
-/// functionally; no timing model).
+/// `emu`'s remaining execution (the program runs functionally until it
+/// halts or reaches its step limit; no timing model). Strata are
+/// numbered by [`Emulator::executed`], as the sampler's producer numbers
+/// them: an emulator that has already run `e` instructions starts in
+/// stratum `e / period_insts`, and the strata before it come out as zero
+/// vectors.
 ///
 /// Each vector is an L1-normalized basic-block histogram — `min(64,
 /// program length)` static-instruction buckets, each counting executed
@@ -527,39 +533,58 @@ fn taxonomy_delta(now: &StallTaxonomy, before: &StallTaxonomy) -> StallTaxonomy 
 /// the dimension in place).
 #[must_use]
 pub fn collect_bbvs(mut emu: Emulator, period_insts: u64) -> Vec<Vec<f64>> {
+    bbv_pass(&mut emu, period_insts)
+}
+
+/// [`collect_bbvs`] on a borrowed emulator, left halted so the caller
+/// can read how many instructions the program ran.
+///
+/// Per instruction the pass does one table lookup (static index →
+/// dimension), one countdown for the stratum boundary and, for a memory
+/// access, one bit test in a bitmap over the memory's lines (every
+/// `mem_addr` is canonical, so its line is in range).
+fn bbv_pass(emu: &mut Emulator, period_insts: u64) -> Vec<Vec<f64>> {
     assert!(period_insts > 0, "period must be positive");
     let prog_len = emu.program().len().max(1);
     let dims = prog_len.min(64);
-    let mut counts: Vec<Vec<u64>> = Vec::new();
-    // (first-touch accesses, total accesses) per stratum.
-    let mut novelty: Vec<(u64, u64)> = Vec::new();
-    let mut seen_lines = std::collections::HashSet::new();
-    while let Some(d) = emu.step() {
-        let stratum = usize::try_from((emu.executed() - 1) / period_insts)
-            .expect("stratum index overflows usize");
-        if counts.len() <= stratum {
-            counts.resize_with(stratum + 1, || vec![0u64; dims]);
-            novelty.resize(stratum + 1, (0, 0));
-        }
-        counts[stratum][d.index * dims / prog_len] += 1;
-        if let Some(addr) = d.mem_addr {
-            let (first, total) = &mut novelty[stratum];
-            *total += 1;
-            if seen_lines.insert(addr >> 6) {
-                *first += 1;
+    let dim_of: Vec<usize> = (0..prog_len).map(|i| i * dims / prog_len).collect();
+    let mut seen_lines = vec![0u64; emu.memory().len().div_ceil(64 * 64)];
+    let zero_strata =
+        usize::try_from(emu.executed() / period_insts).expect("stratum index overflows usize");
+    let mut left = period_insts - emu.executed() % period_insts;
+    let mut out: Vec<Vec<f64>> = Vec::new();
+    loop {
+        let mut counts = vec![0u64; dims];
+        // (first-touch accesses, total accesses) in this stratum.
+        let (mut first, mut total) = (0u64, 0u64);
+        let mut ran = 0u64;
+        while ran < left {
+            let Some(d) = emu.step() else { break };
+            ran += 1;
+            counts[dim_of[d.index]] += 1;
+            if let Some(addr) = d.mem_addr {
+                total += 1;
+                let line = addr >> 6;
+                let (word, bit) = ((line >> 6) as usize, 1u64 << (line & 63));
+                first += u64::from(seen_lines[word] & bit == 0);
+                seen_lines[word] |= bit;
             }
         }
+        if ran == 0 {
+            return out;
+        }
+        if out.is_empty() {
+            out.resize(zero_strata, vec![0.0; dims + 1]);
+        }
+        let t = ran as f64;
+        let mut v: Vec<f64> = counts.into_iter().map(|c| c as f64 / t).collect();
+        v.push(first as f64 / total.max(1) as f64);
+        out.push(v);
+        if ran < left {
+            return out;
+        }
+        left = period_insts;
     }
-    counts
-        .into_iter()
-        .zip(novelty)
-        .map(|(v, (first, total))| {
-            let t = v.iter().sum::<u64>().max(1) as f64;
-            let mut out: Vec<f64> = v.into_iter().map(|c| c as f64 / t).collect();
-            out.push(first as f64 / total.max(1) as f64);
-            out
-        })
-        .collect()
 }
 
 /// Deterministic k-means over basic-block vectors: returns
@@ -811,14 +836,23 @@ fn run_sampled_impl(
 
     // Phase plan: cluster per-stratum BBVs from a functional pre-pass and
     // keep only the representative strata, weighted by cluster size.
-    // `None` = sample every stratum with weight 1.
-    let plan: Option<Vec<(u64, u64)>> = scfg.phases.map(|k| {
-        let bbvs = collect_bbvs(master.fork_rebased(), scfg.period_insts);
-        cluster_bbvs(&bbvs, k, scfg.jitter_seed.unwrap_or(PHASE_SEED))
-            .into_iter()
-            .map(|(i, w)| (i as u64, w))
-            .collect()
-    });
+    // `None` = sample every stratum with weight 1. The pre-pass runs a
+    // plain clone of the master — same instruction count, same step
+    // limit — so it sees exactly the strata the master will, and the
+    // instructions it ran are the program's total: with a plan, the
+    // master stops after its last representative.
+    let (plan, planned_total): (Option<Vec<(u64, u64)>>, Option<u64>) = match scfg.phases {
+        None => (None, None),
+        Some(k) => {
+            let mut pre = master.clone();
+            let bbvs = bbv_pass(&mut pre, scfg.period_insts);
+            let reps = cluster_bbvs(&bbvs, k, scfg.jitter_seed.unwrap_or(PHASE_SEED))
+                .into_iter()
+                .map(|(i, w)| (i as u64, w))
+                .collect();
+            (Some(reps), Some(pre.executed()))
+        }
+    };
 
     // The initial (cold) warm image comes from a throwaway core so the
     // snapshot matches the exact construction state every lane resets to.
@@ -857,16 +891,16 @@ fn run_sampled_impl(
         let capped = scfg.max_intervals != 0 && produced >= scfg.max_intervals;
         let (target, weight) = match &plan {
             Some(p) if !capped && plan_pos < p.len() => p[plan_pos],
-            Some(_) | None if capped => {
-                // No further intervals: run the master out for the total
-                // instruction count. Nothing consumes the warm image any
-                // more, so the tail needs no warming either.
-                while master.step().is_some() {}
+            Some(_) => {
+                // Plan exhausted or capped: the pre-pass already counted
+                // the whole program, so the master has nothing left to do.
                 done = true;
                 return None;
             }
-            Some(_) => {
-                // Phase plan exhausted; run the tail out bare.
+            None if capped => {
+                // No further intervals: run the master out for the total
+                // instruction count. Nothing consumes the warm image any
+                // more, so the tail needs no warming either.
                 while master.step().is_some() {}
                 done = true;
                 return None;
@@ -987,7 +1021,7 @@ fn run_sampled_impl(
     }
     SampledStats {
         intervals,
-        total_insts: master.executed(),
+        total_insts: planned_total.unwrap_or_else(|| master.executed()),
         detailed_insts,
         warmup_insts,
         taxonomy,

@@ -5,7 +5,7 @@
 
 use orinoco_core::sample::{run_sampled, SampleConfig};
 use orinoco_core::{CommitKind, Core, CoreConfig, FetchUnit, SchedulerKind};
-use orinoco_workloads::Workload;
+use orinoco_workloads::{long_program, Workload};
 
 fn orinoco() -> CoreConfig {
     CoreConfig::base()
@@ -127,5 +127,28 @@ fn stratified_beats_systematic_on_a_periodic_program() {
         "stratified {:.2}% vs systematic {:.2}%",
         err_strat * 100.0,
         err_syst * 100.0
+    );
+}
+
+#[test]
+fn phase_plan_respects_the_step_limit() {
+    // The master stops at its step limit, so the phase pre-pass must too:
+    // a plan drawn over the whole 2M-instruction program would place
+    // representatives past the limit, where the master never gets, and
+    // weigh the ones it reaches by strata it never runs.
+    let limit = 1_000_000;
+    let mut emu = long_program(1, 2_000_000);
+    emu.set_step_limit(limit);
+    let est = run_sampled(
+        emu,
+        orinoco(),
+        &SampleConfig::new(2_000, 18_000, 20_000).phases(6),
+    );
+    assert_eq!(est.total_insts, limit);
+    assert_eq!(est.intervals.len(), 6);
+    assert_eq!(est.weight_sum(), limit / 20_000);
+    assert!(
+        est.intervals.iter().all(|s| s.start_inst < limit),
+        "{est:?}"
     );
 }

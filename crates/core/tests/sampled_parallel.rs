@@ -1,7 +1,7 @@
 //! Parallel and phase-clustered sampling invariants: byte-identical
 //! output across thread counts (including under injected worker panics),
 //! spill-to-disk ≡ in-memory checkpoints, BBV/k-means clustering
-//! properties, and phase-mode accuracy.
+//! properties, phase-mode accuracy, and estimates pinned bit for bit.
 
 use orinoco_core::sample::{
     cluster_bbvs, collect_bbvs, run_sampled, run_sampled_spill, SampleConfig, SampledStats,
@@ -237,4 +237,54 @@ fn threads_zero_means_auto_and_still_matches() {
         &SampleConfig::new(500, 2_000, 10_000).with_threads(0),
     );
     assert_identical(&serial, &auto, "threads=0");
+}
+
+/// FNV-1a over `format!("{est:?}")`: every interval's start, weight,
+/// window and stall taxonomy, plus the totals, in one number.
+fn est_digest(est: &SampledStats) -> u64 {
+    format!("{est:?}")
+        .bytes()
+        .fold(0xCBF2_9CE4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+}
+
+#[test]
+fn estimates_are_pinned_bit_for_bit() {
+    // The producer's bookkeeping (the BBV pre-pass, where the master
+    // stops, the prefetcher's stream search) may change how fast an
+    // estimate comes out, never its bits. The phase-clustered geometries
+    // leave a tail after the last representative (9k instructions
+    // uncapped, 110k capped) that the master does not run.
+    let phased = SampleConfig::new(500, 4_000, 5_000);
+    let pinned: [(&str, SampleConfig, u64); 4] = [
+        (
+            "stratified",
+            SampleConfig::new(500, 2_000, 10_000),
+            0x68b3_17e9_df5c_75a4,
+        ),
+        ("phases", phased.phases(6), 0x5b06_5acc_8f41_c6e9),
+        (
+            "horizon+phases",
+            phased.with_warm_horizon(3_000).phases(6),
+            0x7c5d_acd9_50d1_019f,
+        ),
+        (
+            "capped+phases",
+            phased.with_max_intervals(3).phases(6),
+            0xc5af_7d9a_b3ac_462d,
+        ),
+    ];
+    for (name, geometry, want) in pinned {
+        for threads in [1usize, 2] {
+            let est = run_sampled(
+                phased_program(3, 24),
+                orinoco(),
+                &geometry.with_threads(threads),
+            );
+            assert_eq!(est.total_insts, 224_730, "{name} at {threads} threads");
+            let got = est_digest(&est);
+            assert_eq!(got, want, "{name} at {threads} threads: {got:#018x}");
+        }
+    }
 }

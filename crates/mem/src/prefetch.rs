@@ -5,17 +5,36 @@
 //! consecutive demand accesses and, once confident, emits prefetch
 //! candidates a configurable depth ahead.
 
-/// One tracked stream.
+/// One tracked stream, linked into the recency list.
 #[derive(Clone, Copy, Debug)]
 struct Stream {
     last_line: u64,
     stride: i64,
     confidence: u8,
-    last_used: u64,
-    valid: bool,
+    /// The next less / more recently used valid stream ([`NONE`] at the
+    /// ends of the list).
+    older: usize,
+    newer: usize,
 }
 
+/// End-of-list marker for the recency links.
+const NONE: usize = usize::MAX;
+
+/// How far (in lines) a demand access may sit from a stream's last line
+/// and still train it.
+const NEAR: u64 = 8;
+
 /// Stride prefetcher with a fixed number of streams.
+///
+/// A demand access trains the *near* stream, one whose last line is
+/// within 8 lines (but not the same line): the lowest-numbered near
+/// stream whose stride the access continues, else the highest-numbered
+/// near stream. With no near stream it claims the lowest free slot, or
+/// else the least recently used stream. Slots are freed only by
+/// [`StreamPrefetcher::reset`], so the valid streams are always the
+/// prefix `0..valid`, and every access touches at most one stream, so
+/// recency is a total order. A line-sorted index finds the near streams
+/// and a recency list names the victim: no access scans every stream.
 ///
 /// # Examples
 ///
@@ -32,9 +51,17 @@ struct Stream {
 /// ```
 #[derive(Clone, Debug)]
 pub struct StreamPrefetcher {
+    /// One entry per slot; slots `valid..` are free and hold stale data.
     streams: Vec<Stream>,
+    valid: usize,
+    /// `(last_line, slot)` of the valid streams in `by_line[..valid]`,
+    /// sorted; the tail is scratch. Like `streams` it has one entry per
+    /// slot from the start, so training never allocates, in a clone too.
+    by_line: Vec<(u64, usize)>,
+    /// Least and most recently used valid streams.
+    lru: usize,
+    mru: usize,
     depth: u64,
-    tick: u64,
     line_bytes: u64,
     issued: u64,
 }
@@ -49,19 +76,20 @@ impl StreamPrefetcher {
     #[must_use]
     pub fn new(streams: usize, depth: u64) -> Self {
         assert!(streams > 0 && depth > 0, "streams and depth must be positive");
+        let free = Stream {
+            last_line: 0,
+            stride: 0,
+            confidence: 0,
+            older: NONE,
+            newer: NONE,
+        };
         Self {
-            streams: vec![
-                Stream {
-                    last_line: 0,
-                    stride: 0,
-                    confidence: 0,
-                    last_used: 0,
-                    valid: false
-                };
-                streams
-            ],
+            streams: vec![free; streams],
+            valid: 0,
+            by_line: vec![(0, 0); streams],
+            lru: NONE,
+            mru: NONE,
             depth,
-            tick: 0,
             line_bytes: 64,
             issued: 0,
         }
@@ -76,14 +104,9 @@ impl StreamPrefetcher {
     /// Forgets every trained stream and zeroes the counters in place,
     /// keeping the stream-table allocation (core reset path).
     pub fn reset(&mut self) {
-        self.streams.fill(Stream {
-            last_line: 0,
-            stride: 0,
-            confidence: 0,
-            last_used: 0,
-            valid: false,
-        });
-        self.tick = 0;
+        self.valid = 0;
+        self.lru = NONE;
+        self.mru = NONE;
         self.issued = 0;
     }
 
@@ -101,60 +124,119 @@ impl StreamPrefetcher {
     /// system.
     pub fn on_access_into(&mut self, addr: u64, out: &mut Vec<u64>) {
         out.clear();
-        self.tick += 1;
         let line = addr / self.line_bytes;
-        // Find a stream whose next expected line matches, or whose last
-        // line is near (within 8 lines) to retrain.
-        let mut best: Option<usize> = None;
-        for (i, s) in self.streams.iter().enumerate() {
-            if !s.valid {
+        let Some(i) = self.near_stream(line) else {
+            self.allocate(line);
+            return;
+        };
+        let s = &mut self.streams[i];
+        let old_line = s.last_line;
+        let delta = line as i64 - old_line as i64;
+        if delta == s.stride {
+            s.confidence = (s.confidence + 1).min(3);
+        } else {
+            s.stride = delta;
+            s.confidence = 1;
+        }
+        s.last_line = line;
+        if s.confidence >= 2 && s.stride != 0 {
+            let stride = s.stride;
+            out.extend(
+                (1..=self.depth)
+                    .map(|k| (line as i64 + stride * k as i64).max(0) as u64 * self.line_bytes),
+            );
+            self.issued += out.len() as u64;
+        }
+        self.reindex(i, old_line, line);
+        self.touch(i);
+    }
+
+    /// The stream `line` trains: among valid streams whose last line is
+    /// within [`NEAR`] lines of `line` but not on it, the lowest slot
+    /// whose stride `line` continues, else the highest slot.
+    fn near_stream(&self, line: u64) -> Option<usize> {
+        let index = &self.by_line[..self.valid];
+        let from = index.partition_point(|&(l, _)| l < line.saturating_sub(NEAR));
+        let mut exact: Option<usize> = None;
+        let mut last: Option<usize> = None;
+        for &(l, slot) in index[from..].iter().take_while(|&&(l, _)| l <= line + NEAR) {
+            if l == line {
                 continue;
             }
-            let delta = line as i64 - s.last_line as i64;
-            if delta != 0 && delta.abs() <= 8 {
-                best = Some(i);
-                if delta == s.stride {
-                    break;
-                }
+            if line as i64 - l as i64 == self.streams[slot].stride {
+                exact = Some(exact.map_or(slot, |e| e.min(slot)));
             }
+            last = Some(last.map_or(slot, |b| b.max(slot)));
         }
-        match best {
-            Some(i) => {
-                let s = &mut self.streams[i];
-                let delta = line as i64 - s.last_line as i64;
-                if delta == s.stride {
-                    s.confidence = (s.confidence + 1).min(3);
-                } else {
-                    s.stride = delta;
-                    s.confidence = 1;
-                }
-                s.last_line = line;
-                s.last_used = self.tick;
-                if s.confidence >= 2 && s.stride != 0 {
-                    let stride = s.stride;
-                    out.extend((1..=self.depth).map(|k| {
-                        (line as i64 + stride * k as i64).max(0) as u64 * self.line_bytes
-                    }));
-                    self.issued += out.len() as u64;
-                }
+        exact.or(last)
+    }
+
+    /// Starts an untrained stream at `line` in the lowest free slot, or
+    /// over the least recently used stream when none is free.
+    fn allocate(&mut self, line: u64) {
+        let fresh = |older, newer| Stream {
+            last_line: line,
+            stride: 0,
+            confidence: 0,
+            older,
+            newer,
+        };
+        if self.valid < self.streams.len() {
+            let i = self.valid;
+            self.valid += 1;
+            self.streams[i] = fresh(self.mru, NONE);
+            let index = &mut self.by_line[..self.valid];
+            let at = index[..i].partition_point(|&e| e < (line, i));
+            index[at..].rotate_right(1);
+            index[at] = (line, i);
+            match self.mru {
+                NONE => self.lru = i,
+                m => self.streams[m].newer = i,
             }
-            None => {
-                // Allocate a new stream over the LRU slot.
-                let tick = self.tick;
-                let victim = self
-                    .streams
-                    .iter_mut()
-                    .min_by_key(|s| if s.valid { s.last_used } else { 0 })
-                    .expect("streams > 0");
-                *victim = Stream {
-                    last_line: line,
-                    stride: 0,
-                    confidence: 0,
-                    last_used: tick,
-                    valid: true,
-                };
-            }
+            self.mru = i;
+        } else {
+            let i = self.lru;
+            let s = self.streams[i];
+            self.streams[i] = fresh(s.older, s.newer);
+            self.reindex(i, s.last_line, line);
+            self.touch(i);
         }
+    }
+
+    /// Moves slot `i`'s index entry from `old` to `new`, keeping
+    /// `by_line[..valid]` sorted.
+    fn reindex(&mut self, i: usize, old: u64, new: u64) {
+        let index = &mut self.by_line[..self.valid];
+        let from = index
+            .binary_search(&(old, i))
+            .expect("every valid stream is indexed under its last line");
+        let key = (new, i);
+        if key > (old, i) {
+            let to = from + index[from + 1..].partition_point(|&e| e < key);
+            index[from..=to].rotate_left(1);
+            index[to] = key;
+        } else {
+            let to = index[..from].partition_point(|&e| e < key);
+            index[to..=from].rotate_right(1);
+            index[to] = key;
+        }
+    }
+
+    /// Makes valid slot `i` the most recently used.
+    fn touch(&mut self, i: usize) {
+        if self.mru == i {
+            return;
+        }
+        let Stream { older, newer, .. } = self.streams[i];
+        match older {
+            NONE => self.lru = newer,
+            o => self.streams[o].newer = newer,
+        }
+        self.streams[newer].older = older;
+        self.streams[i].older = self.mru;
+        self.streams[i].newer = NONE;
+        self.streams[self.mru].newer = i;
+        self.mru = i;
     }
 }
 
