@@ -1,229 +1,69 @@
-//! Batched fleet stepping: many independent cores advanced slice-wise.
+//! A per-worker cache of parked cores.
 //!
-//! Sweep and verification campaigns run thousands of short programs, each
-//! on its own [`Core`]. Constructing a core per program dominates short
-//! runs — every queue, matrix, cache and predictor table is allocated
-//! from scratch — and a plain per-program loop gives the harness no
-//! batch-level structure to schedule around. A [`Fleet`] fixes both:
+//! Sweep, sampling and verification workloads run thousands of short
+//! programs, each on its own [`Core`]. Constructing a core per program
+//! dominates short runs — every queue, matrix, cache and predictor table
+//! is allocated from scratch. A [`Fleet`] keeps finished cores parked
+//! and hands one out per run: a parked core whose configuration is
+//! [`CoreConfig::same_shape`] with the requested one is revived through
+//! [`Core::reset_with`] — allocation-free after warm-up, and behaviourally
+//! a fresh core (pinned by the `reset` and `fleet` test suites) — and a
+//! new core is built only when no parked shape matches.
 //!
-//! * **Lane reuse.** Cores are kept as *lanes* in a struct-of-arrays
-//!   pool (`cores` / `finished` / `cycles` run state side by side).
-//!   Loading a program picks a parked lane whose configuration is
-//!   [`CoreConfig::same_shape`] with the requested one and revives it
-//!   through [`Core::reset_with`] — allocation-free after warm-up — and
-//!   only builds a new core when no shape matches.
-//! * **Batched stepping.** [`Fleet::run_batch`] advances every loaded
-//!   lane in bounded time slices via [`Core::run_until`], round-robin,
-//!   instead of running each program to completion in turn. Lanes are
-//!   independent cores, so slice interleaving is observationally
-//!   identical to serial runs — same `SimStats`, same commit traces —
-//!   which the `fleet` integration tests pin.
-//!
-//! The verification campaigns (`orinoco-verif`) hold one fleet per worker
-//! thread and route every co-simulation unit through it; the `fleet/`
-//! bench family measures the batch throughput.
+//! The campaign server holds one fleet per worker thread, the sampler one
+//! per interval worker, and the verification campaigns one per campaign
+//! thread.
 
 use crate::config::CoreConfig;
 use crate::pipeline::Core;
 use orinoco_isa::Emulator;
 
-/// Default slice width for [`Fleet::run_batch`], in cycles. Large enough
-/// that a lane's working set amortises its cache refill across the slice,
-/// small enough that a long-running lane cannot starve batch progress.
-const DEFAULT_STRIDE: u64 = 8192;
-
-/// A pool of independent [`Core`]s stepped batch-wise. See the module
-/// docs for the design.
+/// A cache of parked [`Core`]s, at most one per configuration shape. See
+/// the module docs.
 #[derive(Default)]
 pub struct Fleet {
-    /// Lane storage: `cores[..loaded]` hold this batch's programs in
-    /// load order; `cores[loaded..]` are parked, kept warm for reuse.
-    cores: Vec<Core>,
-    /// Per-lane completion flags (struct-of-arrays with `cores[..loaded]`).
-    finished: Vec<bool>,
-    /// Per-lane final cycle counts, valid once the lane finishes.
-    cycles: Vec<u64>,
-    /// Number of loaded lanes.
-    loaded: usize,
-    /// Slice width in cycles (0 = [`DEFAULT_STRIDE`]).
-    stride: u64,
+    parked: Vec<Core>,
 }
 
 impl Fleet {
-    /// An empty fleet with the default time slice.
+    /// An empty fleet.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty fleet slicing `run_batch` at `stride`-cycle boundaries.
-    #[must_use]
-    pub fn with_stride(stride: u64) -> Self {
-        assert!(stride > 0, "zero-cycle slices make no progress");
-        Self { stride, ..Self::default() }
-    }
-
-    /// Number of loaded lanes in the current batch.
-    #[must_use]
-    pub fn lanes(&self) -> usize {
-        self.loaded
-    }
-
-    /// `true` when no lanes are loaded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.loaded == 0
-    }
-
-    /// Total cores held, parked lanes included (observability for reuse
-    /// tests: a warmed-up fleet stops growing).
+    /// Parked cores (observability for reuse tests: a warmed-up fleet
+    /// stops growing).
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.cores.len()
+        self.parked.len()
     }
 
-    /// Loads a program into the next lane and returns its index.
+    /// Hands `body` a core running `emu` under `cfg` and parks the core
+    /// again afterwards.
     ///
-    /// A parked core whose configuration is same-shape with `cfg` is
-    /// revived through [`Core::reset_with`]; otherwise a new core is
-    /// built. Lane indices are assigned in load order, starting at 0
-    /// after each [`Fleet::clear`].
-    pub fn load(&mut self, cfg: CoreConfig, emu: Emulator) -> usize {
-        let lane = self.loaded;
-        let parked = (lane..self.cores.len()).find(|&i| self.cores[i].config().same_shape(&cfg));
-        match parked {
-            Some(i) => {
-                self.cores.swap(lane, i);
-                self.cores[lane].reset_with(emu, cfg);
-            }
-            None => {
-                self.cores.push(Core::new(emu, cfg));
-                let last = self.cores.len() - 1;
-                self.cores.swap(lane, last);
-            }
-        }
-        self.finished.push(false);
-        self.cycles.push(0);
-        self.loaded += 1;
-        lane
-    }
-
-    /// The core in `lane`.
-    #[must_use]
-    pub fn core(&self, lane: usize) -> &Core {
-        assert!(lane < self.loaded, "lane {lane} not loaded");
-        &self.cores[lane]
-    }
-
-    /// Mutable access to the core in `lane` (arm tracing, drain commit
-    /// events, step manually between batch slices).
-    pub fn core_mut(&mut self, lane: usize) -> &mut Core {
-        assert!(lane < self.loaded, "lane {lane} not loaded");
-        &mut self.cores[lane]
-    }
-
-    /// Whether `lane` has run to completion.
-    #[must_use]
-    pub fn lane_finished(&self, lane: usize) -> bool {
-        assert!(lane < self.loaded, "lane {lane} not loaded");
-        self.finished[lane]
-    }
-
-    /// Per-lane cycle counts; meaningful for finished lanes.
-    #[must_use]
-    pub fn cycles(&self) -> &[u64] {
-        &self.cycles[..self.loaded]
-    }
-
-    /// Runs every loaded lane to completion, interleaved in `stride`-cycle
-    /// slices, and returns the per-lane cycle counts. Lanes already
-    /// finished (by an earlier `run_batch` or manual stepping) are left
-    /// untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any lane fails to finish within `max_cycles` (deadlock),
-    /// mirroring [`Core::run`].
-    pub fn run_batch(&mut self, max_cycles: u64) -> &[u64] {
-        let stride = if self.stride == 0 { DEFAULT_STRIDE } else { self.stride };
-        let mut remaining = self.finished[..self.loaded].iter().filter(|f| !**f).count();
-        let mut limit = stride;
-        while remaining > 0 {
-            let slice = limit.min(max_cycles);
-            for lane in 0..self.loaded {
-                if self.finished[lane] {
-                    continue;
-                }
-                if self.cores[lane].run_until(slice) {
-                    self.finished[lane] = true;
-                    self.cycles[lane] = self.cores[lane].stats().cycles;
-                    remaining -= 1;
-                } else {
-                    assert!(
-                        slice < max_cycles,
-                        "fleet lane {lane} deadlock or overrun at cycle {max_cycles}",
-                    );
-                }
-            }
-            limit = limit.saturating_add(stride);
-        }
-        self.cycles()
-    }
-
-    /// Ends the batch: every lane is parked for reuse by later loads.
-    /// Cores keep their allocations; lane indices restart at 0.
-    pub fn clear(&mut self) {
-        self.loaded = 0;
-        self.finished.clear();
-        self.cycles.clear();
-    }
-
-    /// Drops the core in `lane` entirely (it will not be reused). For
-    /// callers that catch panics out of a lane — a core that unwound
-    /// mid-cycle holds broken invariants and must not be revived.
-    pub fn discard(&mut self, lane: usize) {
-        assert!(lane < self.loaded, "lane {lane} not loaded");
-        self.cores.remove(lane);
-        self.finished.remove(lane);
-        self.cycles.remove(lane);
-        self.loaded -= 1;
-    }
-
-    /// Loads a single-lane batch, hands the core to `body`, and restores
-    /// the fleet to empty afterwards — the panic-safe handout pattern the
-    /// campaign server and the pooled co-simulation path share.
-    ///
-    /// On normal return the lane is parked for reuse ([`Fleet::clear`]);
-    /// if `body` panics the lane is [discarded](Fleet::discard) — a core
-    /// that unwound mid-cycle holds broken invariants and must never be
-    /// revived — and the panic resumes. Either way the fleet comes back
-    /// empty, so a long-lived per-worker fleet cannot be wedged by one
-    /// bad job.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fleet already has loaded lanes (a handout requires
-    /// exclusive use of the batch), and re-raises any panic from `body`.
+    /// The core is a parked same-shape core revived through
+    /// [`Core::reset_with`], or a new one when no shape matches. While
+    /// `body` runs the core is out of the fleet, so a panic in the
+    /// revival or in `body` drops it during unwinding — a core that
+    /// unwound mid-cycle holds broken invariants and is never revived —
+    /// and leaves the fleet usable for the next handout.
     pub fn with_lane<R>(
         &mut self,
         cfg: CoreConfig,
         emu: Emulator,
         body: impl FnOnce(&mut Core) -> R,
     ) -> R {
-        assert!(self.is_empty(), "with_lane requires an empty fleet");
-        let lane = self.load(cfg, emu);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            body(&mut self.cores[lane])
-        }));
-        match result {
-            Ok(r) => {
-                self.clear();
-                r
+        let mut core = match self.parked.iter().position(|c| c.config().same_shape(&cfg)) {
+            Some(i) => {
+                let mut core = self.parked.swap_remove(i);
+                core.reset_with(emu, cfg);
+                core
             }
-            Err(payload) => {
-                self.discard(lane);
-                std::panic::resume_unwind(payload);
-            }
-        }
+            None => Core::new(emu, cfg),
+        };
+        let result = body(&mut core);
+        self.parked.push(core);
+        result
     }
 }

@@ -87,6 +87,9 @@ pub enum CohEvent {
 pub struct Core {
     cfg: CoreConfig,
     now: u64,
+    /// [`Core::step`] calls since the last reset; the clock minus the
+    /// cycles fast-forward skipped ([`Core::debug_steps`]).
+    steps: u64,
     fetch: FetchUnit,
     /// Fetched instructions waiting to dispatch, with the cycle they
     /// become dispatchable (front-end depth).
@@ -412,6 +415,7 @@ impl Core {
             cyc_quiet: true,
             cyc_stall_cause: None,
             now: 0,
+            steps: 0,
             cfg,
         }
     }
@@ -488,7 +492,7 @@ impl Core {
 
     /// Reinstates a warm-state snapshot onto an already-reset core — the
     /// second half of [`Core::reset_warm`], split out for handout paths
-    /// ([`crate::fleet::Fleet::with_lane`]) where the lane load has
+    /// ([`crate::fleet::Fleet::with_lane`]) where the handout has
     /// already performed the reset. Calling this on a core that has run
     /// cycles since its last reset leaves pipeline-transient state
     /// inconsistent with the warmed image; only call it reset-fresh.
@@ -504,6 +508,7 @@ impl Core {
 
     fn reset_inner(&mut self, src: crate::fetch::FetchSource) {
         self.now = 0;
+        self.steps = 0;
         self.fetch.reset(src, &self.cfg);
         self.fq.clear();
         self.rename.reset();
@@ -630,8 +635,9 @@ impl Core {
     /// is observationally identical to one [`Core::run`] — the idle-cycle
     /// fast-forward clamps its skip at `limit` and simply continues on the
     /// next call (skipped and stepped frozen cycles are accounted
-    /// identically; the `verif ffeq` campaign is the proof). This is the
-    /// slice primitive [`crate::Fleet`] interleaves many cores with.
+    /// identically; the `verif ffeq` campaign is the proof). The campaign
+    /// server slices its progress reports this way; the `fleet` tests pin
+    /// sliced runs against one-shot runs.
     ///
     /// # Panics
     ///
@@ -719,6 +725,7 @@ impl Core {
         self.stats.rob_occ_sum += self.rob.len() as u64;
         self.stats.iq_occ_sum += self.iq_len_total() as u64;
         self.now += 1;
+        self.steps += 1;
     }
 
     /// Read access to the oracle emulator driving fetch. After the
@@ -1621,6 +1628,16 @@ impl Core {
     #[must_use]
     pub fn debug_frozen_next_event(&self) -> Option<u64> {
         self.frozen().then(|| self.next_event_cycle())
+    }
+
+    /// Debug probe (fast-forward tests): the number of [`Core::step`]
+    /// calls since the core was built or last reset. Without
+    /// fast-forward it equals [`Core::cycle`]; with it, the clock runs
+    /// ahead by every cycle the skip jumped.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn debug_steps(&self) -> u64 {
+        self.steps
     }
 
     // ------------------------------------------------------------------

@@ -75,9 +75,11 @@ fn random_missy_program(rng: &mut Rng) -> Emulator {
 /// Naive reference check: steps `core` (fast-forward disabled) to
 /// completion; inside every frozen window the machine must stay frozen
 /// with an unchanged next event and zero commits until the event cycle.
-/// Returns the number of frozen windows observed.
-fn check_frozen_windows(mut core: Core, max_cycles: u64) -> u64 {
+/// Returns the number of frozen windows observed and the cycles they
+/// span — the cycles fast-forward would skip.
+fn check_frozen_windows(mut core: Core, max_cycles: u64) -> (u64, u64) {
     let mut windows = 0u64;
+    let mut frozen_cycles = 0u64;
     while !core.finished() && core.cycle() < max_cycles {
         core.step();
         let Some(ne) = core.debug_frozen_next_event() else {
@@ -91,6 +93,7 @@ fn check_frozen_windows(mut core: Core, max_cycles: u64) -> u64 {
         );
         if ne > core.cycle() {
             windows += 1;
+            frozen_cycles += ne - core.cycle();
         }
         // The skipped range [cycle, ne) must be provably dead: frozen,
         // same next event, nothing committed.
@@ -114,7 +117,7 @@ fn check_frozen_windows(mut core: Core, max_cycles: u64) -> u64 {
         }
     }
     assert!(core.finished(), "reference run did not finish in {max_cycles} cycles");
-    windows
+    (windows, frozen_cycles)
 }
 
 #[test]
@@ -124,7 +127,7 @@ fn next_event_matches_naive_reference_on_random_programs() {
     for _ in 0..8 {
         let emu = random_missy_program(&mut rng);
         let core = Core::new(emu, orinoco_cfg().without_fast_forward());
-        total_windows += check_frozen_windows(core, 10_000_000);
+        total_windows += check_frozen_windows(core, 10_000_000).0;
     }
     assert!(total_windows > 0, "no frozen window ever engaged; property vacuous");
 }
@@ -134,7 +137,7 @@ fn next_event_matches_naive_reference_on_memlat() {
     let mut emu = Workload::MemlatLike.build(13, 1);
     emu.set_step_limit(3_000);
     let core = Core::new(emu, orinoco_cfg().without_fast_forward());
-    let windows = check_frozen_windows(core, 10_000_000);
+    let (windows, _) = check_frozen_windows(core, 10_000_000);
     assert!(windows > 10, "memlat_like produced only {windows} frozen windows");
 }
 
@@ -166,12 +169,23 @@ fn fast_forward_is_on_by_default_and_skips_on_memlat() {
     assert!(CoreConfig::base().fast_forward, "fast-forward should default on");
     assert!(!CoreConfig::base().without_fast_forward().fast_forward);
     // With fast-forward on, run() must reach the same cycle count the
-    // naive reference reaches, on a workload dominated by frozen windows.
+    // naive reference reaches, on a workload dominated by frozen windows,
+    // while stepping only the cycles outside those windows. Equal cycle
+    // counts alone would hold with the skip switched off.
     let mut emu = Workload::MemlatLike.build(13, 1);
-    emu.set_step_limit(3_000);
+    emu.set_step_limit(10_000);
     let mut ff_core = Core::new(emu.clone(), orinoco_cfg());
     let ff_cycles = ff_core.run(100_000_000).cycles;
-    let mut naive = Core::new(emu, orinoco_cfg().without_fast_forward());
+    let mut naive = Core::new(emu.clone(), orinoco_cfg().without_fast_forward());
     let naive_cycles = naive.run(100_000_000).cycles;
     assert_eq!(ff_cycles, naive_cycles);
+    assert_eq!(naive.debug_steps(), naive_cycles, "without fast-forward every cycle is a step");
+    let (_, frozen_cycles) =
+        check_frozen_windows(Core::new(emu, orinoco_cfg().without_fast_forward()), 100_000_000);
+    let steps = ff_core.debug_steps();
+    assert_eq!(steps, ff_cycles - frozen_cycles, "fast-forward stepped a frozen cycle");
+    assert!(
+        steps * 3 <= ff_cycles,
+        "fast-forward stepped {steps} of {ff_cycles} cycles; memlat_like should skip over 2/3"
+    );
 }

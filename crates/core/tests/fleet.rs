@@ -1,10 +1,12 @@
-//! `Fleet` batch-stepping tests.
+//! `Fleet` lane-cache tests.
 //!
-//! The verification campaigns and the `fleet/` bench family run programs
-//! through a shared [`Fleet`] instead of one fresh [`Core`] each, so the
-//! pooled results are only trustworthy if slice-interleaved, lane-reused
-//! runs are byte-identical to serial fresh-core runs: same `SimStats`
-//! Debug rendering, same final architectural state, batch after batch.
+//! The campaign server, the sampler and the verification campaigns run
+//! programs on cores handed out by a shared [`Fleet`] instead of one
+//! fresh [`Core`] each, so their results are only trustworthy if revived
+//! cores are byte-identical to fresh ones: same `SimStats` Debug
+//! rendering, run after run, shape after shape. The server also cuts
+//! runs into `run_until` slices to report progress, so sliced runs must
+//! match one-shot runs too.
 
 use orinoco_core::{CommitKind, Core, CoreConfig, Fleet, SchedulerKind};
 use orinoco_isa::Emulator;
@@ -27,6 +29,11 @@ fn fresh_stats(w: Workload, seed: u64, cfg: CoreConfig) -> String {
     format!("{:?}", core.run(100_000_000))
 }
 
+/// Runs `w`/`seed` on a core handed out by `fleet` and renders its stats.
+fn fleet_stats(fleet: &mut Fleet, w: Workload, seed: u64, cfg: CoreConfig) -> String {
+    fleet.with_lane(cfg, emu_for(w, seed), |core| format!("{:?}", core.run(100_000_000)))
+}
+
 const BATCH: [(Workload, u64); 5] = [
     (Workload::GemmLike, 13),
     (Workload::HashjoinLike, 7),
@@ -36,50 +43,44 @@ const BATCH: [(Workload, u64); 5] = [
 ];
 
 #[test]
-fn batched_run_matches_serial_fresh_runs() {
-    // Tight stride forces many interleaved slices per lane.
-    let mut fleet = Fleet::with_stride(256);
+fn sliced_runs_match_fresh_runs() {
+    let mut fleet = Fleet::new();
     for (w, seed) in BATCH {
-        fleet.load(orinoco_cfg(), emu_for(w, seed));
-    }
-    fleet.run_batch(100_000_000);
-    for (lane, (w, seed)) in BATCH.into_iter().enumerate() {
-        assert!(fleet.lane_finished(lane));
-        let batched = format!("{:?}", fleet.core(lane).stats());
+        // A tight 256-cycle slice cuts every run many times, across
+        // fast-forward windows included.
+        let (slices, sliced) = fleet.with_lane(orinoco_cfg(), emu_for(w, seed), |core| {
+            let mut slices = 1u64;
+            while !core.run_until(slices * 256) {
+                slices += 1;
+            }
+            (slices, format!("{:?}", core.stats()))
+        });
+        assert!(slices > 1, "{w} seed {seed}: the run fit in one slice");
         assert_eq!(
-            batched,
+            sliced,
             fresh_stats(w, seed, orinoco_cfg()),
-            "{w} seed {seed}: batched run diverges from a fresh core"
+            "{w} seed {seed}: sliced run diverges from a fresh core"
         );
-        assert_eq!(fleet.cycles()[lane], fleet.core(lane).stats().cycles);
     }
 }
 
 #[test]
-fn lane_reuse_across_batches_matches_fresh_runs() {
+fn reuse_across_runs_matches_fresh_runs() {
     let mut fleet = Fleet::new();
-    // Warm-up batch dirties the lanes with different programs/seeds.
+    // Warm-up runs dirty the parked core with different programs/seeds.
     for (w, seed) in BATCH {
-        fleet.load(orinoco_cfg(), emu_for(w, seed + 100));
+        fleet_stats(&mut fleet, w, seed + 100, orinoco_cfg());
     }
-    fleet.run_batch(100_000_000);
-    let warm = fleet.capacity();
-    fleet.clear();
-    assert!(fleet.is_empty());
+    assert_eq!(fleet.capacity(), 1, "the core should be parked, not dropped");
 
-    // Second batch must revive parked lanes (no growth) and still match.
+    // Later runs must revive the parked core (no growth) and still match.
     for (w, seed) in BATCH {
-        fleet.load(orinoco_cfg(), emu_for(w, seed));
-    }
-    assert_eq!(fleet.capacity(), warm, "same-shape reload grew the pool");
-    fleet.run_batch(100_000_000);
-    for (lane, (w, seed)) in BATCH.into_iter().enumerate() {
-        let batched = format!("{:?}", fleet.core(lane).stats());
         assert_eq!(
-            batched,
+            fleet_stats(&mut fleet, w, seed, orinoco_cfg()),
             fresh_stats(w, seed, orinoco_cfg()),
-            "{w} seed {seed}: reused lane diverges from a fresh core"
+            "{w} seed {seed}: reused core diverges from a fresh core"
         );
+        assert_eq!(fleet.capacity(), 1, "same-shape handout grew the pool");
     }
 }
 
@@ -96,27 +97,19 @@ fn mixed_shapes_get_separate_lanes() {
         cfg
     };
     let mut fleet = Fleet::new();
-    fleet.load(orinoco_cfg(), emu_for(Workload::GemmLike, 13));
-    fleet.load(tiny.clone(), emu_for(Workload::GemmLike, 13));
-    fleet.run_batch(100_000_000);
+    fleet_stats(&mut fleet, Workload::GemmLike, 13, orinoco_cfg());
+    fleet_stats(&mut fleet, Workload::GemmLike, 13, tiny.clone());
     assert_eq!(fleet.capacity(), 2);
 
-    // Reload in the opposite order: each request must find its shape.
-    fleet.clear();
-    fleet.load(tiny.clone(), emu_for(Workload::MixLike, 5));
-    fleet.load(orinoco_cfg(), emu_for(Workload::MixLike, 5));
-    assert_eq!(fleet.capacity(), 2, "shape-matched reload grew the pool");
-    fleet.run_batch(100_000_000);
-    assert_eq!(
-        format!("{:?}", fleet.core(0).stats()),
-        fresh_stats(Workload::MixLike, 5, tiny),
-        "tiny-shape lane diverges from a fresh core"
-    );
-    assert_eq!(
-        format!("{:?}", fleet.core(1).stats()),
-        fresh_stats(Workload::MixLike, 5, orinoco_cfg()),
-        "base-shape lane diverges from a fresh core"
-    );
+    // Alternate the shapes: each request must find its own parked core.
+    for (cfg, name) in [(tiny.clone(), "tiny"), (orinoco_cfg(), "base"), (tiny, "tiny")] {
+        assert_eq!(
+            fleet_stats(&mut fleet, Workload::MixLike, 5, cfg.clone()),
+            fresh_stats(Workload::MixLike, 5, cfg),
+            "{name}-shape core diverges from a fresh core"
+        );
+        assert_eq!(fleet.capacity(), 2, "shape-matched handout grew the pool");
+    }
 }
 
 #[test]
@@ -126,46 +119,23 @@ fn same_shape_different_seed_is_reused() {
     let mut fleet = Fleet::new();
     let mut cfg = orinoco_cfg();
     cfg.seed = 1;
-    fleet.load(cfg, emu_for(Workload::McfLike, 3));
-    fleet.run_batch(100_000_000);
-    fleet.clear();
+    fleet_stats(&mut fleet, Workload::McfLike, 3, cfg);
 
     let mut cfg2 = orinoco_cfg();
     cfg2.seed = 99;
-    fleet.load(cfg2.clone(), emu_for(Workload::McfLike, 3));
+    let reseeded = fleet_stats(&mut fleet, Workload::McfLike, 3, cfg2.clone());
     assert_eq!(fleet.capacity(), 1, "seed-only change must not grow the pool");
-    fleet.run_batch(100_000_000);
     assert_eq!(
-        format!("{:?}", fleet.core(0).stats()),
+        reseeded,
         fresh_stats(Workload::McfLike, 3, cfg2),
-        "reseeded lane diverges from a fresh core"
+        "reseeded core diverges from a fresh core"
     );
-}
-
-#[test]
-fn with_lane_parks_on_success_and_matches_fresh() {
-    let mut fleet = Fleet::new();
-    let stats = fleet.with_lane(orinoco_cfg(), emu_for(Workload::GemmLike, 13), |core| {
-        format!("{:?}", core.run(100_000_000))
-    });
-    assert_eq!(stats, fresh_stats(Workload::GemmLike, 13, orinoco_cfg()));
-    assert!(fleet.is_empty(), "with_lane must leave the fleet empty");
-    assert_eq!(fleet.capacity(), 1, "the lane should be parked, not dropped");
-
-    // The parked lane is revived for the next handout (no pool growth).
-    let again = fleet.with_lane(orinoco_cfg(), emu_for(Workload::McfLike, 3), |core| {
-        format!("{:?}", core.run(100_000_000))
-    });
-    assert_eq!(again, fresh_stats(Workload::McfLike, 3, orinoco_cfg()));
-    assert_eq!(fleet.capacity(), 1, "same-shape handout grew the pool");
 }
 
 #[test]
 fn with_lane_discards_on_panic_and_stays_usable() {
     let mut fleet = Fleet::new();
-    fleet.with_lane(orinoco_cfg(), emu_for(Workload::GemmLike, 13), |core| {
-        core.run(100_000_000);
-    });
+    fleet_stats(&mut fleet, Workload::GemmLike, 13, orinoco_cfg());
     assert_eq!(fleet.capacity(), 1);
 
     let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -177,28 +147,12 @@ fn with_lane_discards_on_panic_and_stays_usable() {
         })
     }));
     assert!(unwound.is_err(), "the body's panic must resume out of with_lane");
-    assert!(fleet.is_empty());
-    assert_eq!(fleet.capacity(), 0, "a panicked lane must be discarded, not parked");
+    assert_eq!(fleet.capacity(), 0, "a panicked core must be dropped, not parked");
 
     // The fleet itself survives and serves the next handout from scratch.
-    let stats = fleet.with_lane(orinoco_cfg(), emu_for(Workload::MixLike, 5), |core| {
-        format!("{:?}", core.run(100_000_000))
-    });
-    assert_eq!(stats, fresh_stats(Workload::MixLike, 5, orinoco_cfg()));
-}
-
-#[test]
-fn discard_drops_the_lane_and_shifts_the_rest() {
-    let mut fleet = Fleet::new();
-    for (w, seed) in BATCH {
-        fleet.load(orinoco_cfg(), emu_for(w, seed));
-    }
-    fleet.run_batch(100_000_000);
-    let keep: Vec<String> =
-        (0..BATCH.len()).map(|l| format!("{:?}", fleet.core(l).stats())).collect();
-    fleet.discard(1);
-    assert_eq!(fleet.lanes(), BATCH.len() - 1);
-    assert_eq!(format!("{:?}", fleet.core(0).stats()), keep[0]);
-    assert_eq!(format!("{:?}", fleet.core(1).stats()), keep[2]);
-    assert_eq!(format!("{:?}", fleet.core(3).stats()), keep[4]);
+    assert_eq!(
+        fleet_stats(&mut fleet, Workload::MixLike, 5, orinoco_cfg()),
+        fresh_stats(Workload::MixLike, 5, orinoco_cfg())
+    );
+    assert_eq!(fleet.capacity(), 1);
 }

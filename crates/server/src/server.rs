@@ -28,9 +28,10 @@
 //!
 //! A job that panics its core (deadlock, cycle-budget overrun, broken
 //! invariant) yields `Failed` on the submitter's queue — in order — and
-//! the worker survives: `Fleet::with_lane` discards the poisoned lane,
-//! the mailbox loop catches the unwind, and the next job on that queue
-//! runs on a fresh lane. Failures are not cached.
+//! the worker survives: the poisoned core is out of the worker's
+//! [`Fleet`] while it runs, so the unwind drops it, the mailbox loop
+//! catches the unwind, and the next job on that queue runs on a fresh
+//! core. Failures are not cached.
 
 use crate::cache::{Admission, CacheStats, ResultCache, Ticket};
 use crate::digest::fold_commit_event;
@@ -260,7 +261,7 @@ fn build_emulator(spec: &SimSpec) -> orinoco_isa::Emulator {
 /// # Panics
 ///
 /// Panics if the core fails to finish within the cycle budget (deadlock
-/// or overrun), mirroring `Core::run` / `Fleet::run_batch`.
+/// or overrun), mirroring `Core::run`.
 fn execute_sim(core: &mut Core, spec: &SimSpec, mut progress: impl FnMut(u64, u64, String)) -> SimResult {
     let max_cycles =
         if spec.max_cycles == 0 { SimSpec::DEFAULT_MAX_CYCLES } else { spec.max_cycles };
@@ -299,7 +300,7 @@ fn execute_sim(core: &mut Core, spec: &SimSpec, mut progress: impl FnMut(u64, u6
 }
 
 /// Server-side sim execution: the core comes out of the worker's warm
-/// fleet; a panicking run discards the lane (`Fleet::with_lane`).
+/// fleet; a panicking run drops it (`Fleet::with_lane`).
 fn run_sim_on_fleet(
     fleet: &mut Fleet,
     spec: &SimSpec,

@@ -1,12 +1,11 @@
-//! A counting global allocator for allocation-regression tests and
-//! benchmark reports.
+//! A counting global allocator for allocation-regression tests.
 //!
 //! The simulator's hot loop is contractually allocation-free in steady
 //! state (see DESIGN.md §"Performance engineering"); this module provides
 //! the measurement half of that contract. Installing [`CountingAlloc`] as
-//! the `#[global_allocator]` of a test or bench binary makes every heap
-//! allocation tick a process-wide counter that [`alloc_count`] reads, and
-//! a counter of the allocating thread that [`thread_alloc_count`] reads:
+//! the `#[global_allocator]` of a test binary makes every heap allocation
+//! tick a counter of the allocating thread that [`thread_alloc_count`]
+//! reads:
 //!
 //! ```ignore
 //! #[global_allocator]
@@ -18,22 +17,18 @@
 //! assert_eq!(orinoco_util::alloc_counter::thread_alloc_count(), before);
 //! ```
 //!
-//! Use the per-thread count when the measured code runs on the calling
-//! thread: concurrent tests in the same binary then cannot leak their
-//! allocations into each other's windows. Use the process-wide count when
-//! the measured work runs on other threads (server workers, pools).
+//! The count is per thread, so concurrent tests in the same binary cannot
+//! leak their allocations into each other's windows.
 //!
-//! The counters are always compiled in (relaxed atomics and a
-//! const-initialised thread-local — far below measurement noise) but only
-//! advance in binaries that actually install the allocator, so the library
-//! itself imposes no policy.
+//! The counter is always compiled in (a const-initialised thread-local —
+//! far below measurement noise) but only advances in binaries that
+//! actually install the allocator, so the library itself imposes no
+//! policy.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 static TRAP: AtomicBool = AtomicBool::new(false);
 
 thread_local! {
@@ -42,9 +37,7 @@ thread_local! {
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count(bytes: u64) {
-    ALLOCS.fetch_add(1, Ordering::Relaxed);
-    ALLOC_BYTES.fetch_add(bytes, Ordering::Relaxed);
+fn count() {
     THREAD_ALLOCS.with(|n| n.set(n.get() + 1));
 }
 
@@ -53,14 +46,14 @@ fn count(bytes: u64) {
 /// test is "no new heap traffic", and a free implies a prior allocation).
 pub struct CountingAlloc;
 
-// SAFETY: pure pass-through to `System`; the counters are relaxed atomics
-// with no effect on allocation behaviour.
+// SAFETY: pure pass-through to `System`; the thread-local counter and the
+// trap flag have no effect on allocation behaviour.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if TRAP.swap(false, Ordering::SeqCst) {
             panic!("heap allocation of {} bytes while trapped", layout.size());
         }
-        count(layout.size() as u64);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -72,7 +65,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         if TRAP.swap(false, Ordering::SeqCst) {
             panic!("heap reallocation to {new_size} bytes while trapped");
         }
-        count(new_size as u64);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -81,16 +74,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// reallocation panics with a backtrace pointing at the allocation site,
 /// then the trap disarms itself (so the panic machinery can allocate
 /// freely). A debugging aid for hunting stray allocations that
-/// [`alloc_count`] detects — not for use in committed assertions.
+/// [`thread_alloc_count`] detects — not for use in committed assertions.
 pub fn trap_on_next_alloc(enable: bool) {
     TRAP.store(enable, Ordering::SeqCst);
-}
-
-/// Total heap allocations (including reallocations) observed so far.
-/// Always zero unless the binary installed [`CountingAlloc`].
-#[must_use]
-pub fn alloc_count() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
 }
 
 /// Heap allocations (including reallocations) made so far by the calling
@@ -98,10 +84,4 @@ pub fn alloc_count() -> u64 {
 #[must_use]
 pub fn thread_alloc_count() -> u64 {
     THREAD_ALLOCS.with(Cell::get)
-}
-
-/// Total bytes requested by those allocations.
-#[must_use]
-pub fn alloc_bytes() -> u64 {
-    ALLOC_BYTES.load(Ordering::Relaxed)
 }

@@ -1,9 +1,10 @@
 //! Deterministic utilities shared across the Orinoco workspace: a seeded
 //! PRNG with a `rand`-flavoured API, a miniature property-test harness,
-//! and a wall-clock micro-benchmark timer.
+//! an order-preserving thread pool, the server's worker mailboxes and a
+//! counting allocator for allocation-regression tests.
 //!
 //! The workspace must build with **no network access and no external
-//! crates**; this crate replaces the `rand`, `proptest` and `criterion`
+//! crates**; this crate replaces the `rand` and `proptest`
 //! dependencies that the seed tree declared but could never resolve. All
 //! randomness is seeded explicitly — there is deliberately no constructor
 //! reading ambient entropy, so every test, fuzz run and workload build is
@@ -24,7 +25,6 @@
 #![warn(clippy::all)]
 
 pub mod alloc_counter;
-pub mod bench;
 pub mod mailbox;
 pub mod pool;
 pub mod prop;

@@ -37,9 +37,10 @@
 //! still owns a completion order. The worker catches the unwind, counts
 //! it (see [`Dispatcher::panics`]) and moves on. The worker context `C`
 //! handed to a panicking job may have been left mid-mutation; jobs that
-//! mutate `C` non-atomically must do their own `catch_unwind` hygiene
-//! (the server's sim jobs discard the poisoned `Fleet` lane — see
-//! `Fleet::with_lane` — before letting the panic escape).
+//! mutate `C` non-atomically must keep it consistent across an unwind
+//! (the server's sim jobs take their core out of the worker's `Fleet`
+//! for the run, so a panic drops the poisoned core and leaves the fleet
+//! intact — see `Fleet::with_lane`).
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -1,6 +1,6 @@
 //! Fast-forward observational-equivalence campaign.
 //!
-//! The idle-cycle fast-forward (DESIGN.md §10) lives in [`Core::run`] and
+//! The idle-cycle fast-forward (DESIGN.md §10) lives in `Core::run` and
 //! claims to be **observationally invisible**: jumping the clock over
 //! frozen cycles must change nothing an experiment can measure. The
 //! differential oracle cannot see it (it drives `Core::step` directly),
@@ -20,7 +20,8 @@
 //! merges results in seed order and is byte-identical to a serial run.
 
 use crate::{config_for_seed, gen, mcm, program_seeds, with_unit_fleet};
-use orinoco_core::{Core, System};
+use orinoco_core::{CoreConfig, System};
+use orinoco_isa::Emulator;
 use orinoco_workloads::multicore::SharedWorkload;
 
 /// Cycle budget per run; matches the co-simulation default.
@@ -61,23 +62,28 @@ impl FfEqOutcome {
     }
 }
 
-/// Renders a finished lane's observables: the commit-event stream as
-/// strings, the `SimStats` `Debug` form, the stall-taxonomy `Debug` form,
-/// and the cycle count.
-fn harvest(core: &mut Core) -> (Vec<String>, String, String, u64) {
-    let stats = core.stats();
-    let cycles = stats.cycles;
-    let stats_dbg = format!("{stats:?}");
-    let tax_dbg = format!("{:?}", stats.stall_taxonomy);
-    let commits = core.drain_commit_trace().iter().map(|ev| format!("{ev:?}")).collect();
-    (commits, stats_dbg, tax_dbg, cycles)
+/// Runs `emu` to completion under `cfg` on a core of this thread's
+/// campaign [`orinoco_core::Fleet`] and renders its observables: the
+/// commit-event stream as strings, the `SimStats` `Debug` form, the
+/// stall-taxonomy `Debug` form, and the cycle count.
+fn observe(cfg: CoreConfig, emu: Emulator) -> (Vec<String>, String, String, u64) {
+    with_unit_fleet(|fleet| {
+        fleet.with_lane(cfg, emu, |core| {
+            core.enable_commit_trace();
+            let stats = core.run(MAX_CYCLES);
+            let cycles = stats.cycles;
+            let stats_dbg = format!("{stats:?}");
+            let tax_dbg = format!("{:?}", stats.stall_taxonomy);
+            let commits = core.drain_commit_trace().iter().map(|ev| format!("{ev:?}")).collect();
+            (commits, stats_dbg, tax_dbg, cycles)
+        })
+    })
 }
 
-/// Per-seed unit: run the program with fast-forward on and off and diff
-/// every observable. Both runs are lanes of this thread's campaign
-/// [`orinoco_core::Fleet`], stepped as one interleaved batch with parked
-/// cores revived across units. Pure function of `pseed` — lane recycling
-/// is behaviourally invisible (pinned by the `fleet` tests).
+/// Per-seed unit: run the program with fast-forward on, then off, and
+/// diff every observable. Parked cores are revived across units; the
+/// result is a pure function of `pseed`, because a revived core is
+/// behaviourally a fresh one (pinned by the `fleet` tests).
 fn ffeq_unit(pseed: u64) -> (u64, u64, Option<FfEqMismatch>) {
     let (cfg, label) = config_for_seed(pseed);
     let emu = gen::generate(pseed).build();
@@ -85,17 +91,8 @@ fn ffeq_unit(pseed: u64) -> (u64, u64, Option<FfEqMismatch>) {
     cfg_on.fast_forward = true;
     let mut cfg_off = cfg;
     cfg_off.fast_forward = false;
-    let [(commits_on, stats_on, tax_on, cycles), (commits_off, stats_off, tax_off, _)] =
-        with_unit_fleet(|fleet| {
-            let on = fleet.load(cfg_on, emu.clone());
-            let off = fleet.load(cfg_off, emu);
-            fleet.core_mut(on).enable_commit_trace();
-            fleet.core_mut(off).enable_commit_trace();
-            fleet.run_batch(MAX_CYCLES);
-            let pair = [harvest(fleet.core_mut(on)), harvest(fleet.core_mut(off))];
-            fleet.clear();
-            pair
-        });
+    let (commits_on, stats_on, tax_on, cycles) = observe(cfg_on, emu.clone());
+    let (commits_off, stats_off, tax_off, _) = observe(cfg_off, emu);
     let mismatch = |detail: String| FfEqMismatch { program_seed: pseed, config: label, detail };
     let diff = if tax_on != tax_off {
         Some(mismatch(format!("stall taxonomy differs:\n  ff  {tax_on}\n  off {tax_off}")))

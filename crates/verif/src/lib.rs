@@ -47,14 +47,15 @@ use orinoco_util::Rng;
 use std::time::{Duration, Instant};
 
 std::thread_local! {
-    /// Per-thread core pool shared by every campaign unit that runs on
+    /// Per-thread core cache shared by every campaign unit that runs on
     /// this thread. Campaign workers burn most of their short-program
-    /// time constructing cores; routing units through a [`Fleet`] revives
-    /// a parked same-shape core via `Core::reset_with` instead
-    /// (behavioural equivalence to fresh cores is pinned by the
-    /// `reset`/`fleet` test suites in `orinoco-core`). Thread-local so
-    /// `parallel_map` workers never contend; the pool stays small — one
-    /// core per distinct configuration shape the campaigns rotate.
+    /// time constructing cores; handing units their core through
+    /// [`Fleet::with_lane`] revives a parked same-shape core via
+    /// `Core::reset_with` instead (behavioural equivalence to fresh cores
+    /// is pinned by the `reset`/`fleet` test suites in `orinoco-core`).
+    /// Thread-local so `parallel_map` workers never contend; the cache
+    /// stays small — one core per distinct configuration shape the
+    /// campaigns rotate.
     static UNIT_FLEET: std::cell::RefCell<Fleet> = std::cell::RefCell::new(Fleet::new());
 }
 

@@ -333,10 +333,10 @@ pub fn run_cosim(emu: &Emulator, cfg: CoreConfig, opts: &CosimOptions) -> CosimR
 }
 
 /// Pooled variant of [`run_cosim`]: the DUT core comes out of `fleet`,
-/// revived through `Core::reset_with` whenever a parked lane matches the
+/// revived through `Core::reset_with` whenever a parked core matches the
 /// requested configuration shape, so campaign workers skip per-unit core
-/// construction. On a clean return the lane is parked back for reuse; a
-/// panicking lane is discarded — a core that unwound mid-cycle holds
+/// construction. On a clean return the core is parked back for reuse; a
+/// panicking core is dropped — a core that unwound mid-cycle holds
 /// broken invariants and must not be revived.
 #[must_use]
 pub fn run_cosim_pooled(
@@ -345,11 +345,10 @@ pub fn run_cosim_pooled(
     cfg: CoreConfig,
     opts: &CosimOptions,
 ) -> CosimReport {
-    assert!(fleet.is_empty(), "cosim fleet must start each unit with no loaded lanes");
     let golden = emu.clone();
-    // `Fleet::with_lane` parks the lane on success and discards it on
-    // panic, re-raising; the outer catch turns that resumed panic into a
-    // DutPanic report exactly as the unpooled path does.
+    // `Fleet::with_lane` parks the core on success and drops it when the
+    // panic unwinds through; the catch turns that panic into a DutPanic
+    // report exactly as the unpooled path does.
     let result = catch_unwind(AssertUnwindSafe(|| {
         fleet.with_lane(cfg, emu.clone(), |core| cosim_loop(core, golden, opts))
     }));
