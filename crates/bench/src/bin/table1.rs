@@ -36,7 +36,7 @@ fn main() {
         "size", "IW/CW", "ROB", "IQ", "LQ/SQ", "RF", "FU",
     ]);
     for cfg in [CoreConfig::base(), CoreConfig::pro(), CoreConfig::ultra()] {
-        cfg.validate();
+        cfg.validate().expect("Table 1 presets are valid");
         t.row(vec![
             cfg.name.to_string(),
             format!("{}/{}", cfg.width, cfg.commit_width),

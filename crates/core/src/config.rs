@@ -438,22 +438,43 @@ impl CoreConfig {
         parts.map(|p| p.max(4))
     }
 
+    /// The largest ROB or IQ a configuration may ask for. Some queue
+    /// state grows with the product of sizes (each physical register's
+    /// wake-up list reserves two rows per IQ entry, and the matrix oracles
+    /// rebuild n×n bits), so a larger size is refused rather than left to
+    /// exhaust memory. Table 1's largest ROB has 512 entries.
+    pub const MAX_QUEUE_ENTRIES: usize = 4096;
+
     /// Validates internal consistency.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on nonsensical configurations (zero widths, IQ larger than
-    /// ROB, fewer physical registers than architectural, ...).
-    pub fn validate(&self) {
-        assert!(self.width > 0 && self.commit_width > 0, "zero width");
-        assert!(self.rob_entries >= self.width, "ROB smaller than width");
-        assert!(self.iq_entries <= self.rob_entries, "IQ larger than ROB");
-        assert!(
-            self.phys_regs > orinoco_isa::NUM_INT_REGS,
-            "need more physical than architectural registers per file"
-        );
-        assert!(self.fu.total() > 0, "no functional units");
-        assert!(self.lq_entries > 0 && self.sq_entries > 0, "empty LSQ");
+    /// Describes the first problem of a nonsensical configuration: zero
+    /// widths, IQ larger than ROB, a ROB or IQ above
+    /// [`CoreConfig::MAX_QUEUE_ENTRIES`], fewer physical registers than
+    /// architectural, ...
+    pub fn validate(&self) -> Result<(), String> {
+        let max = Self::MAX_QUEUE_ENTRIES;
+        let rules = [
+            (self.width > 0 && self.commit_width > 0, "zero width"),
+            (self.rob_entries >= self.width, "ROB smaller than width"),
+            (self.iq_entries <= self.rob_entries, "IQ larger than ROB"),
+            (self.rob_entries <= max, "ROB above the queue-size ceiling"),
+            (self.iq_entries <= max, "IQ above the queue-size ceiling"),
+            (
+                self.phys_regs > orinoco_isa::NUM_INT_REGS,
+                "need more physical than architectural registers per file",
+            ),
+            (self.fu.total() > 0, "no functional units"),
+            (self.lq_entries > 0 && self.sq_entries > 0, "empty LSQ"),
+        ];
+        match rules.iter().find(|(ok, _)| !ok) {
+            None => Ok(()),
+            Some((_, what)) => Err(format!(
+                "{what} (ROB {}, IQ {}, ceiling {max} entries)",
+                self.rob_entries, self.iq_entries
+            )),
+        }
     }
 }
 
@@ -473,9 +494,9 @@ mod tests {
         let ultra = CoreConfig::ultra();
         assert_eq!((ultra.width, ultra.rob_entries, ultra.iq_entries), (8, 512, 224));
         assert_eq!(ultra.fu.total(), 11);
-        base.validate();
-        pro.validate();
-        ultra.validate();
+        for cfg in [base, pro, ultra] {
+            assert_eq!(cfg.validate(), Ok(()));
+        }
     }
 
     #[test]
@@ -524,10 +545,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "IQ larger than ROB")]
-    fn invalid_config_panics() {
+    fn invalid_config_is_rejected() {
         let mut c = CoreConfig::base();
         c.iq_entries = 1000;
-        c.validate();
+        let err = c.validate().expect_err("IQ larger than ROB");
+        assert!(err.starts_with("IQ larger than ROB"), "{err}");
+    }
+
+    #[test]
+    fn queue_sizes_above_the_ceiling_are_rejected() {
+        let max = CoreConfig::MAX_QUEUE_ENTRIES;
+        let mut c = CoreConfig::base();
+        c.rob_entries = max;
+        c.iq_entries = max;
+        assert_eq!(c.validate(), Ok(()));
+        c.rob_entries = max + 1;
+        assert!(c.validate().expect_err("ROB").starts_with("ROB above the queue-size ceiling"));
+        c.rob_entries = 65_536;
+        c.iq_entries = 65_536;
+        assert!(c.validate().expect_err("both").starts_with("ROB above the queue-size ceiling"));
+        c.rob_entries = max;
+        c.iq_entries = max + 1;
+        assert!(c.validate().expect_err("IQ").starts_with("IQ larger than ROB"));
     }
 }

@@ -2,19 +2,32 @@
 //! SHIFT, CIRC, RAND, AGE, MULT, Orinoco and the criticality-aware CRI
 //! variants.
 //!
-//! AGE, MULT and the CRI variants drive a real [`AgeMatrix`]: CRI is the
-//! one place where age order differs from dispatch order, and AGE/MULT
-//! select on the matrix's single-oldest reduction. SHIFT and plain
-//! Orinoco rank the ready entries by sequence number: live dispatch order
-//! is seq order, so that is the matrix's bit-count ranking (pinned against
-//! the CRI-Orinoco matrix path by the tests below). CIRC derives order
-//! from (virtual) queue position; RAND is order-oblivious. All variants
-//! allocate entries from a free list except CIRC, whose gaps stay unusable
-//! until the head passes them — the capacity inefficiency of Figure 1(b).
+//! Every age-ordered scheduler ranks the ready entries by one key,
+//! `(!critical, seq)`, read from a dense per-slot array. That is exactly
+//! the order of the paper's [`AgeMatrix`]: plain dispatch makes every
+//! live entry older than the newcomer, so without criticality the matrix
+//! order is dispatch order, and live dispatch order is seq order (fetch
+//! numbers in order, squashes remove suffixes and refetch in seq order).
+//! A critical dispatch (`AgeMatrix::dispatch_critical`) makes every
+//! critical entry older than every non-critical one, past or future,
+//! while keeping dispatch order within each class. SHIFT, Orinoco and
+//! CRI-Orinoco grant in key order; AGE puts the single oldest first and
+//! MULT the oldest of each pool, then pick the rest randomly; CRI-AGE
+//! keeps only the oldest of each class in place. The matrix is the
+//! oracle, not a second scheduler: [`IssueQueue::ranking_matrix`] rebuilds
+//! it from the live entries and must rank exactly as the key does. CIRC
+//! derives order from (virtual) queue position; RAND is order-oblivious.
+//! All variants allocate entries from a free list except CIRC, whose gaps
+//! stay unusable until the head passes them — the capacity inefficiency of
+//! Figure 1(b).
 
 use crate::config::{Pool, SchedulerKind};
 use crate::rename::PhysReg;
 use orinoco_matrix::{AgeMatrix, BitVec64};
+
+/// The rank-key bit that orders non-critical entries after critical ones
+/// (seqs stay below `1 << 63`).
+const NON_CRITICAL: u64 = 1 << 63;
 
 /// An instruction resident in the IQ.
 #[derive(Clone, Debug)]
@@ -25,8 +38,8 @@ pub struct IqEntry {
     pub pool: Pool,
     /// Criticality tag (CRI schedulers).
     pub critical: bool,
-    /// Dynamic sequence number (used by the position-based schedulers and
-    /// for assertions; the matrix schedulers never consult it).
+    /// Dynamic sequence number (with `critical`, the rank key of the
+    /// age-ordered schedulers).
     pub seq: u64,
     /// Source physical registers.
     pub srcs: [Option<PhysReg>; 2],
@@ -55,8 +68,6 @@ pub struct IssueQueue {
     cap: usize,
     slots: Vec<Option<IqEntry>>,
     free: Vec<usize>,
-    age: AgeMatrix,
-    cri: BitVec64,
     count: usize,
     // CIRC state: ring [head, tail) including gaps.
     head: usize,
@@ -75,10 +86,11 @@ pub struct IssueQueue {
     /// them, and re-registration on replay is idempotent because a wake
     /// only ever sets `src_ready`.
     waiters: Vec<Vec<(usize, u8, u64)>>,
-    /// Compact per-slot copy of the occupant's sequence number
-    /// (`u64::MAX` when empty): the seq-ranked select reads this dense
-    /// array instead of dereferencing the wide `IqEntry` slots.
-    seq_of: Vec<u64>,
+    /// Compact per-slot rank key of the occupant (`u64::MAX` when
+    /// empty): its seq, with [`NON_CRITICAL`] set unless it is critical
+    /// under a CRI scheduler. The selects read this dense array instead
+    /// of dereferencing the wide `IqEntry` slots.
+    key_of: Vec<u64>,
     /// One bit per slot: the occupant's issue-gating sources are all
     /// ready (mirrors [`IqEntry::is_ready`], updated at allocation and
     /// wake-up).
@@ -89,10 +101,7 @@ pub struct IssueQueue {
     nready: usize,
     // Reusable scratch for the per-cycle select path (allocation-free in
     // steady state; see DESIGN.md §"Performance engineering").
-    scratch_ready: Vec<usize>,
     scratch_order: Vec<usize>,
-    scratch_part: Vec<usize>,
-    scratch_req: BitVec64,
     scratch_cands: Vec<(u64, usize)>,
 }
 
@@ -105,21 +114,16 @@ impl IssueQueue {
             cap,
             slots: vec![None; cap],
             free: (0..cap).rev().collect(),
-            age: AgeMatrix::new(cap),
-            cri: BitVec64::new(cap),
             count: 0,
             head: 0,
             tail: 0,
             span: 0,
             rng: 0x9E37_79B9_7F4A_7C15 ^ cap as u64,
             waiters: Vec::new(),
-            seq_of: vec![u64::MAX; cap],
+            key_of: vec![u64::MAX; cap],
             ready_bits: BitVec64::new(cap),
             nready: 0,
-            scratch_ready: Vec::with_capacity(cap),
             scratch_order: Vec::with_capacity(cap),
-            scratch_part: Vec::with_capacity(cap),
-            scratch_req: BitVec64::new(cap),
             scratch_cands: Vec::with_capacity(cap),
         }
     }
@@ -177,19 +181,14 @@ impl IssueQueue {
         }
     }
 
-    fn uses_matrix(&self) -> bool {
-        matches!(
-            self.kind,
-            SchedulerKind::Age
-                | SchedulerKind::Mult
-                | SchedulerKind::CriAge
-                | SchedulerKind::CriOrinoco
-        )
-    }
-
-    /// SHIFT and plain Orinoco grant the oldest ready entries by seq.
-    fn ranks_by_seq(&self) -> bool {
-        matches!(self.kind, SchedulerKind::Shift | SchedulerKind::Orinoco)
+    /// The rank key of an entry: `(!critical, seq)` in one word.
+    fn rank_key(&self, entry: &IqEntry) -> u64 {
+        debug_assert!(entry.seq < NON_CRITICAL, "seq {} collides with the class bit", entry.seq);
+        if entry.critical && self.kind.uses_criticality() {
+            entry.seq
+        } else {
+            entry.seq | NON_CRITICAL
+        }
     }
 
     /// Allocates an entry; returns its slot, or `None` when full.
@@ -206,18 +205,10 @@ impl IssueQueue {
         } else {
             self.free.pop()?
         };
-        if self.uses_matrix() {
-            if entry.critical && self.kind.uses_criticality() {
-                self.age.dispatch_critical(slot, &self.cri);
-                self.cri.set(slot);
-            } else {
-                self.age.dispatch(slot);
-            }
-        }
         let srcs = entry.srcs;
         let src_ready = entry.src_ready;
         let seq = entry.seq;
-        self.seq_of[slot] = seq;
+        self.key_of[slot] = self.rank_key(&entry);
         let ready = entry.is_ready();
         self.ready_bits.assign(slot, ready);
         self.nready += usize::from(ready);
@@ -279,13 +270,9 @@ impl IssueQueue {
             panic!("remove of empty IQ slot {slot}")
         });
         self.count -= 1;
-        self.seq_of[slot] = u64::MAX;
+        self.key_of[slot] = u64::MAX;
         self.nready -= usize::from(self.ready_bits.get(slot));
         self.ready_bits.clear(slot);
-        if self.uses_matrix() {
-            self.age.free(slot);
-            self.cri.clear(slot);
-        }
         if self.kind == SchedulerKind::Circ {
             // Reclaim the head-side gap run.
             while self.span > 0 && self.slots[self.head].is_none() {
@@ -358,15 +345,10 @@ impl IssueQueue {
     /// the RNG are reinitialised exactly as in [`IssueQueue::new`] so a
     /// reset queue schedules byte-identically to a fresh one.
     pub fn reset(&mut self) {
-        for slot in 0..self.cap {
-            if self.slots[slot].take().is_some() && self.uses_matrix() {
-                self.age.free(slot);
-            }
-            self.seq_of[slot] = u64::MAX;
-        }
+        self.slots.fill(None);
+        self.key_of.fill(u64::MAX);
         self.free.clear();
         self.free.extend((0..self.cap).rev());
-        self.cri.clear_all();
         self.count = 0;
         self.head = 0;
         self.tail = 0;
@@ -383,93 +365,77 @@ impl IssueQueue {
         (slot + self.cap - self.head) % self.cap
     }
 
-    /// Fills `scratch_req` with the given slots.
-    fn fill_req(&mut self, slots: &[usize]) {
-        self.scratch_req.clear_all();
-        for &s in slots {
-            self.scratch_req.set(s);
+    /// The ready entries as `(key, slot)` pairs in rank-key order, written
+    /// into `out` (cleared first): the bit-count ranking of the ready set.
+    /// The `nready` ready slots (typically a handful) come off the bit
+    /// vector and are sorted, with no walk over the resident population.
+    fn ready_by_key_into(&self, out: &mut Vec<(u64, usize)>) {
+        out.clear();
+        out.extend(self.ready_bits.iter_ones().map(|s| (self.key_of[s], s)));
+        debug_assert_eq!(out.len(), self.nready, "ready count out of sync");
+        out.sort_unstable();
+    }
+
+    /// The heads a single-oldest select grants first: AGE's oldest ready
+    /// entry (in the first element), or MULT's oldest ready entry of each
+    /// pool, in [`Pool::ALL`] order.
+    fn heads(&self) -> [Option<usize>; 4] {
+        let mut best: [Option<(u64, usize)>; 4] = [None; 4];
+        for s in self.ready_bits.iter_ones() {
+            let p = match self.kind {
+                SchedulerKind::Mult => self.slots[s].as_ref().expect("ready slot live").pool.idx(),
+                _ => 0,
+            };
+            let k = self.key_of[s];
+            if best[p].is_none_or(|(bk, _)| k < bk) {
+                best[p] = Some((k, s));
+            }
         }
+        best.map(|b| b.map(|(_, s)| s))
     }
 
     /// Priority-ordered ready slots for this cycle, per the scheduler
-    /// variant, written into `out` (head granted first). `part` is extra
-    /// scratch for the CriAge class partition. Allocation-free once the
-    /// scratch vectors have grown to capacity. The seq-ranked variants
-    /// never come here (see [`IssueQueue::select_by_seq_into`]).
-    fn priority_order_into(
-        &mut self,
-        ready: &[usize],
-        out: &mut Vec<usize>,
-        part: &mut Vec<usize>,
-    ) {
+    /// variant, written into `out` (head granted first); `cands` is
+    /// scratch for the key sort. Allocation-free once the scratch vectors
+    /// have grown to capacity.
+    fn priority_order_into(&mut self, out: &mut Vec<usize>, cands: &mut Vec<(u64, usize)>) {
         out.clear();
         match self.kind {
-            SchedulerKind::Shift | SchedulerKind::Orinoco => {
-                unreachable!("seq-ranked schedulers select by seq")
-            }
             SchedulerKind::Circ => {
-                out.extend_from_slice(ready);
+                out.extend(self.ready_bits.iter_ones());
                 out.sort_unstable_by_key(|&s| self.circ_position(s));
             }
             SchedulerKind::Rand => {
                 // Genuinely random in terms of age.
-                out.extend_from_slice(ready);
+                out.extend(self.ready_bits.iter_ones());
                 self.shuffle(out);
             }
-            SchedulerKind::Age => {
-                self.fill_req(ready);
-                let oldest = self.age.select_single_oldest(&self.scratch_req);
-                if let Some(o) = oldest {
-                    out.push(o);
-                }
-                out.extend(ready.iter().copied().filter(|&s| Some(s) != oldest));
-                let head = usize::from(oldest.is_some());
-                self.shuffle(&mut out[head..]);
-            }
-            SchedulerKind::Mult => {
-                // Single oldest of each FU type first, then the rest in
-                // random order. At most one head per pool.
-                let mut heads = [0usize; 4];
-                let mut nheads = 0;
-                for pool in Pool::ALL {
-                    self.scratch_req.clear_all();
-                    for &s in ready {
-                        if self.slots[s].as_ref().is_some_and(|e| e.pool == pool) {
-                            self.scratch_req.set(s);
-                        }
-                    }
-                    if let Some(o) = self.age.select_single_oldest(&self.scratch_req) {
-                        heads[nheads] = o;
-                        nheads += 1;
-                    }
-                }
-                out.extend_from_slice(&heads[..nheads]);
-                out.extend(
-                    ready.iter().copied().filter(|s| !heads[..nheads].contains(s)),
-                );
+            SchedulerKind::Age | SchedulerKind::Mult => {
+                // The single oldest (AGE) or the single oldest of each FU
+                // type (MULT) first, then the rest in random order.
+                let heads = self.heads();
+                out.extend(heads.iter().flatten());
+                let nheads = out.len();
+                out.extend(self.ready_bits.iter_ones().filter(|&s| !heads.contains(&Some(s))));
                 self.shuffle(&mut out[nheads..]);
             }
-            SchedulerKind::CriAge | SchedulerKind::CriOrinoco => {
-                // Full (criticality-adjusted) age order from the bit count
-                // encoding. For CriAge the intra-class pseudo-ordering is
-                // applied below.
-                self.fill_req(ready);
-                self.age.select_oldest_into(&self.scratch_req, self.cap, out);
+            SchedulerKind::Shift
+            | SchedulerKind::Orinoco
+            | SchedulerKind::CriAge
+            | SchedulerKind::CriOrinoco => {
+                self.ready_by_key_into(cands);
+                out.extend(cands.iter().map(|&(_, s)| s));
                 if self.kind == SchedulerKind::CriAge {
                     // CRI w/ AGE: criticals before non-criticals, but within
                     // each class only the single oldest is age-accurate; the
                     // rest are selected randomly (classic AGE behaviour).
-                    part.clear();
-                    part.extend(out.iter().copied().filter(|&s| self.cri.get(s)));
-                    let ncrit = part.len();
-                    part.extend(out.iter().copied().filter(|&s| !self.cri.get(s)));
+                    let ncrit = cands.partition_point(|&(k, _)| k < NON_CRITICAL);
                     if ncrit > 2 {
-                        self.shuffle(&mut part[1..ncrit]);
+                        self.shuffle(&mut out[1..ncrit]);
                     }
-                    if part.len() - ncrit > 2 {
-                        self.shuffle(&mut part[ncrit + 1..]);
+                    if out.len() - ncrit > 2 {
+                        self.shuffle(&mut out[ncrit + 1..]);
                     }
-                    std::mem::swap(out, part);
                 }
             }
         }
@@ -490,7 +456,8 @@ impl IssueQueue {
 
     /// Like [`IssueQueue::select`], but appends the grants to a
     /// caller-provided buffer (cleared first) instead of allocating. This
-    /// is the hot path used by the pipeline every cycle.
+    /// is the hot path used by the pipeline every cycle: grants walk the
+    /// priority order, skipping entries whose pool has no budget left.
     pub fn select_into(
         &mut self,
         pool_budget: &mut [usize; 4],
@@ -498,64 +465,13 @@ impl IssueQueue {
         grants: &mut Vec<(usize, IqEntry)>,
     ) {
         grants.clear();
-        if self.ranks_by_seq() {
-            self.select_by_seq_into(pool_budget, width, grants);
-            return;
-        }
-        let mut ready = std::mem::take(&mut self.scratch_ready);
-        let mut order = std::mem::take(&mut self.scratch_order);
-        let mut part = std::mem::take(&mut self.scratch_part);
-        ready.clear();
-        ready.extend(self.ready_bits.iter_ones());
-        if !ready.is_empty() {
-            self.priority_order_into(&ready, &mut order, &mut part);
-            for &slot in &order {
-                if grants.len() == width {
-                    break;
-                }
-                let pool = self.slots[slot].as_ref().expect("ready slot live").pool;
-                if pool_budget[pool.idx()] == 0 {
-                    continue;
-                }
-                pool_budget[pool.idx()] -= 1;
-                let entry = self.remove(slot);
-                grants.push((slot, entry));
-            }
-        }
-        self.scratch_ready = ready;
-        self.scratch_order = order;
-        self.scratch_part = part;
-    }
-
-    /// The ready entries as `(seq, slot)` pairs, oldest first, written
-    /// into `out` (cleared first). Without criticality adjustment the
-    /// matrix age order *is* the dispatch order, and live dispatch order
-    /// is seq order, so this is the bit-count ranking of the ready set:
-    /// the `nready` ready slots (typically a handful) come off the bit
-    /// vector and are sorted, with no walk over the resident population
-    /// and no matrix rank scan.
-    fn ready_by_seq_into(&self, out: &mut Vec<(u64, usize)>) {
-        out.clear();
-        out.extend(self.ready_bits.iter_ones().map(|s| (self.seq_of[s], s)));
-        debug_assert_eq!(out.len(), self.nready, "ready count out of sync");
-        out.sort_unstable();
-    }
-
-    /// The select of the seq-ranked schedulers (SHIFT, plain Orinoco):
-    /// grants walk the seq-sorted ready set, skipping entries whose pool
-    /// has no budget left.
-    fn select_by_seq_into(
-        &mut self,
-        pool_budget: &mut [usize; 4],
-        width: usize,
-        grants: &mut Vec<(usize, IqEntry)>,
-    ) {
         if self.nready == 0 {
             return;
         }
+        let mut order = std::mem::take(&mut self.scratch_order);
         let mut cands = std::mem::take(&mut self.scratch_cands);
-        self.ready_by_seq_into(&mut cands);
-        for &(_, slot) in &cands {
+        self.priority_order_into(&mut order, &mut cands);
+        for &slot in &order {
             if grants.len() == width {
                 break;
             }
@@ -567,29 +483,96 @@ impl IssueQueue {
             let entry = self.remove(slot);
             grants.push((slot, entry));
         }
+        self.scratch_order = order;
         self.scratch_cands = cands;
     }
 
-    /// The full priority ranking of the currently-ready slots, without
-    /// removing anything (test oracle for the select paths).
-    #[cfg(test)]
-    fn priority_ranking(&mut self) -> Vec<usize> {
-        if self.ranks_by_seq() {
-            let mut cands = Vec::new();
-            self.ready_by_seq_into(&mut cands);
-            return cands.into_iter().map(|(_, s)| s).collect();
-        }
-        let ready: Vec<usize> = self.ready_bits.iter_ones().collect();
-        let mut out = Vec::new();
-        let mut part = Vec::new();
-        self.priority_order_into(&ready, &mut out, &mut part);
-        out
+    /// The key ranking of the ready entries, without removing anything:
+    /// what every age-ordered select reads before its random picks.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn ranking(&self) -> Ranking {
+        let mut cands = Vec::new();
+        self.ready_by_key_into(&mut cands);
+        let heads = match self.kind {
+            SchedulerKind::Age | SchedulerKind::Mult => {
+                self.heads().into_iter().flatten().collect()
+            }
+            _ => Vec::new(),
+        };
+        Ranking { order: cands.into_iter().map(|(_, s)| s).collect(), heads }
     }
+
+    /// The matrix oracle of [`IssueQueue::ranking`]: an [`AgeMatrix`] is
+    /// rebuilt from the live entries, dispatched in seq order (criticals
+    /// under a CRI scheduler through `dispatch_critical`), and asked for
+    /// the bit-count order of the ready set (`select_oldest_into`), the
+    /// single-oldest head of AGE and the per-pool heads of MULT
+    /// (`select_single_oldest`). It reads the wide entries — seq,
+    /// criticality, pool, operand readiness — never the key array or the
+    /// ready bits. Rebuilding costs O(n²) per call; the invariant check of
+    /// [`crate::Core`] and the tests call it, the pipeline never does.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn ranking_matrix(&self) -> Ranking {
+        let mut live: Vec<(u64, usize)> = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter_map(|(s, e)| e.as_ref().map(|e| (e.seq, s)))
+            .collect();
+        live.sort_unstable();
+        let mut age = AgeMatrix::new(self.cap);
+        let mut cri = BitVec64::new(self.cap);
+        for &(_, s) in &live {
+            if self.slots[s].as_ref().is_some_and(|e| e.critical) && self.kind.uses_criticality() {
+                age.dispatch_critical(s, &cri);
+                cri.set(s);
+            } else {
+                age.dispatch(s);
+            }
+        }
+        let ready_of = |pool: Option<Pool>| {
+            BitVec64::from_indices(
+                self.cap,
+                live.iter().map(|&(_, s)| s).filter(|&s| {
+                    self.slots[s]
+                        .as_ref()
+                        .is_some_and(|e| e.is_ready() && pool.is_none_or(|p| e.pool == p))
+                }),
+            )
+        };
+        let mut order = Vec::new();
+        age.select_oldest_into(&ready_of(None), self.cap, &mut order);
+        let heads = match self.kind {
+            SchedulerKind::Age => age.select_single_oldest(&ready_of(None)).into_iter().collect(),
+            SchedulerKind::Mult => Pool::ALL
+                .into_iter()
+                .filter_map(|p| age.select_single_oldest(&ready_of(Some(p))))
+                .collect(),
+            _ => Vec::new(),
+        };
+        Ranking { order, heads }
+    }
+}
+
+/// An issue queue's ranking of its ready entries (see
+/// [`IssueQueue::ranking`] and its oracle [`IssueQueue::ranking_matrix`]).
+#[doc(hidden)]
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Ranking {
+    /// Every ready slot, oldest first: the bit-count select's order.
+    pub order: Vec<usize>,
+    /// The slots a single-oldest select grants first: AGE's oldest ready
+    /// entry, MULT's oldest of each pool in [`Pool::ALL`] order; empty for
+    /// the other schedulers.
+    pub heads: Vec<usize>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orinoco_util::Rng;
 
     fn entry(rob_idx: usize, seq: u64, pool: Pool) -> IqEntry {
         IqEntry {
@@ -888,88 +871,161 @@ mod tests {
         assert_eq!(iq.ready_count(), 0);
     }
 
-    /// The seq-sorted ranking of the plain Orinoco scheduler orders the
-    /// ready slots exactly as the matrix bit-count ranking does
-    /// (CriOrinoco with no critical entries is exactly that matrix path),
-    /// across random allocate/remove churn that recycles slots.
-    #[test]
-    fn orinoco_walk_matches_matrix_ranking() {
-        let mut rng = 0x5EED_0123_4567_89ABu64;
-        let mut next = move || {
-            rng ^= rng >> 12;
-            rng ^= rng << 25;
-            rng ^= rng >> 27;
-            rng.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        };
-        let mut walk = IssueQueue::new(SchedulerKind::Orinoco, 16);
-        let mut matrix = IssueQueue::new(SchedulerKind::CriOrinoco, 16);
-        let mut live: Vec<usize> = Vec::new();
-        let mut seq = 0u64;
-        for _ in 0..2000 {
-            if !live.is_empty() && next() % 3 == 0 {
-                let victim = live.swap_remove((next() % live.len() as u64) as usize);
-                walk.remove(victim);
-                matrix.remove(victim);
-            } else if walk.has_space() {
-                let e = entry(seq as usize, seq, Pool::Int);
-                let sw = walk.allocate(e.clone()).unwrap();
-                let sm = matrix.allocate(e).unwrap();
-                assert_eq!(sw, sm, "free lists diverged");
-                live.push(sw);
-                seq += 1;
+    /// How often the churn histories hit the cases the property is about.
+    #[derive(Default)]
+    struct Coverage {
+        /// Rankings where a critical entry outranked an older one.
+        crit_jumps: u64,
+        /// MULT rankings with heads in two or more pools.
+        multi_pool_heads: u64,
+        /// Refetched entries that landed in the slot they were squashed from.
+        same_slot_refetch: u64,
+        /// Selects that skipped a ready entry for want of pool budget.
+        budget_skips: u64,
+    }
+
+    /// The grants a strict-priority select makes walking `order` under
+    /// `budget` (decremented in place) and `width`.
+    fn greedy(
+        iq: &IssueQueue,
+        order: &[usize],
+        budget: &mut [usize; 4],
+        width: usize,
+    ) -> Vec<usize> {
+        let mut out = Vec::new();
+        for &s in order {
+            if out.len() == width {
+                break;
             }
-            let gw: Vec<u64> =
-                walk.select(&mut budgets(0), usize::MAX).iter().map(|(_, e)| e.seq).collect();
-            let gm: Vec<u64> =
-                matrix.select(&mut budgets(0), usize::MAX).iter().map(|(_, e)| e.seq).collect();
-            assert!(gw.is_empty() && gm.is_empty(), "zero budget still granted");
-            let ow = walk.priority_ranking();
-            let om = matrix.priority_ranking();
-            assert_eq!(ow, om, "seq ranking diverged from matrix age ranking");
+            let p = iq.entry(s).expect("ranked slot live").pool.idx();
+            if budget[p] > 0 {
+                budget[p] -= 1;
+                out.push(s);
+            }
+        }
+        out
+    }
+
+    /// One select on the real path under a random budget and width,
+    /// checked against the matrix ranking taken just before it. Returns
+    /// the granted slots.
+    fn select_checked(rng: &mut Rng, iq: &mut IssueQueue, cov: &mut Coverage) -> Vec<usize> {
+        let kind = iq.kind();
+        let oracle = iq.ranking_matrix();
+        let mut budget = [(); 4].map(|()| rng.gen_range(0..3usize));
+        let width = rng.gen_range(0..6usize);
+        let mut strict_budget = budget;
+        let strict = greedy(iq, &oracle.order, &mut strict_budget, width);
+        // AGE and MULT grant their heads first; CRI-AGE its oldest entry.
+        let heads = match kind {
+            SchedulerKind::CriAge => &oracle.order[..oracle.order.len().min(1)],
+            _ => &oracle.heads[..],
+        };
+        let first = greedy(iq, heads, &mut budget.clone(), width);
+        cov.budget_skips += u64::from(strict.len() < width.min(oracle.order.len()));
+        let got: Vec<usize> = iq.select(&mut budget, width).into_iter().map(|(s, _)| s).collect();
+        assert_eq!(got.len(), strict.len(), "{kind:?} grant count diverged");
+        assert!(got.iter().all(|s| oracle.order.contains(s)), "{kind:?} granted a non-ready slot");
+        match kind {
+            // Strict age order; CIRC's queue positions are dispatch order.
+            SchedulerKind::Shift
+            | SchedulerKind::Circ
+            | SchedulerKind::Orinoco
+            | SchedulerKind::CriOrinoco => {
+                assert_eq!(got, strict, "{kind:?} grants diverged from the matrix order");
+                assert_eq!(budget, strict_budget, "{kind:?} budget consumption diverged");
+            }
+            SchedulerKind::Age | SchedulerKind::Mult | SchedulerKind::CriAge => {
+                assert!(got.starts_with(&first), "{kind:?} did not grant its heads first");
+            }
+            SchedulerKind::Rand => {}
+        }
+        got
+    }
+
+    /// One random history on a `kind` queue of `cap` entries: a fill to at
+    /// least half the capacity, then churn, with the key ranking checked
+    /// against the matrix after every step.
+    fn churn(rng: &mut Rng, kind: SchedulerKind, cap: usize, cov: &mut Coverage) {
+        const NREGS: u16 = 16;
+        let mut iq = IssueQueue::new(kind, cap).with_regs(usize::from(NREGS));
+        // Live entries in seq order, as `(slot, entry)`.
+        let mut live: Vec<(usize, IqEntry)> = Vec::new();
+        let mut next_seq = 0u64;
+        let fill = rng.gen_range(cap / 2..cap + 1);
+        for step in 0..fill + 2 * cap {
+            match if step < fill { 0 } else { rng.gen_range(0..16u32) } {
+                0..=5 => {
+                    let mut e = entry(live.len(), next_seq, Pool::ALL[rng.gen_range(0..4usize)]);
+                    e.critical = rng.gen_bool(0.3);
+                    for i in 0..2 {
+                        if rng.gen_bool(0.4) {
+                            e.srcs[i] = Some(PhysReg(rng.gen_range(0..NREGS)));
+                            e.src_ready[i] = rng.gen_bool(0.3);
+                        }
+                    }
+                    e.wait_on = [true, rng.gen_bool(0.8)];
+                    if let Some(slot) = iq.allocate(e.clone()) {
+                        live.push((slot, e));
+                        next_seq += 1;
+                    }
+                }
+                6 if !live.is_empty() => {
+                    let (slot, _) = live.remove(rng.gen_range(0..live.len()));
+                    iq.remove(slot);
+                }
+                7..=10 => iq.writeback(PhysReg(rng.gen_range(0..NREGS))),
+                11..=13 => {
+                    let got = select_checked(rng, &mut iq, cov);
+                    live.retain(|(s, _)| !got.contains(s));
+                }
+                14 if !live.is_empty() => {
+                    // Squash from a random live seq, youngest first, then
+                    // refetch the same entries while they fit (CIRC's gaps
+                    // may not take them all): the LIFO free list hands
+                    // their slots back.
+                    let k = rng.gen_range(0..live.len());
+                    let squashed: Vec<usize> = live.drain(k..).map(|(s, _)| s).collect();
+                    let mut refetch: Vec<(usize, IqEntry)> =
+                        squashed.iter().rev().map(|&s| (s, iq.remove(s))).collect();
+                    refetch.reverse();
+                    for (old, e) in refetch {
+                        let Some(slot) = iq.allocate(e.clone()) else { break };
+                        cov.same_slot_refetch += u64::from(slot == old);
+                        live.push((slot, e));
+                    }
+                }
+                _ => {}
+            }
+            assert_eq!(iq.len(), live.len(), "{kind:?} occupancy diverged");
+            let keyed = iq.ranking();
+            assert_eq!(keyed, iq.ranking_matrix(), "{kind:?} cap {cap}: key ranking diverged");
+            let seqs: Vec<u64> = keyed.order.iter().map(|&s| iq.entry(s).unwrap().seq).collect();
+            cov.crit_jumps += u64::from(seqs.windows(2).any(|w| w[0] > w[1]));
+            cov.multi_pool_heads += u64::from(keyed.heads.len() > 1);
         }
     }
 
-    /// The seq-ranked select of SHIFT and plain Orinoco grants the same
-    /// slots in the same order as the generic select driven by the matrix
-    /// ranking (CriOrinoco with no critical entries), including under
-    /// pool-budget skips and partial widths.
+    /// Every scheduler's select agrees with the age matrix rebuilt from
+    /// its live entries ([`IssueQueue::ranking_matrix`]) under
+    /// allocate/remove/wake-up churn, squash-and-refetch slot reuse and a
+    /// mix of critical entries. After every step the key ranking equals
+    /// the matrix ranking (order and heads), and every select grants what
+    /// the matrix order dictates for its scheduler. Capacities straddle
+    /// the 64-bit word boundary; 97 and 224 are the Base and Ultra IQs.
     #[test]
-    fn fused_orinoco_select_matches_generic_path() {
-        for kind in [SchedulerKind::Orinoco, SchedulerKind::Shift] {
-            let mut rng = 0xFACE_FEED_0BAD_F00Du64;
-            let mut next = move || {
-                rng ^= rng >> 12;
-                rng ^= rng << 25;
-                rng ^= rng >> 27;
-                rng.wrapping_mul(0x2545_F491_4F6C_DD1D)
-            };
-            let mut fused = IssueQueue::new(kind, 16);
-            let mut generic = IssueQueue::new(SchedulerKind::CriOrinoco, 16);
-            let mut seq = 0u64;
-            for round in 0..500 {
-                while fused.has_space() && next() % 4 != 0 {
-                    let pool = if next() % 2 == 0 { Pool::Int } else { Pool::Mem };
-                    let e = entry(seq as usize, seq, pool);
-                    assert_eq!(
-                        fused.allocate(e.clone()),
-                        generic.allocate(e),
-                        "{kind:?} free lists diverged"
-                    );
-                    seq += 1;
+    fn key_ranking_matches_rebuilt_matrix_under_churn() {
+        let mut cov = Coverage::default();
+        orinoco_util::prop::forall("iq_key_vs_matrix", 0x1A6E, 2, |rng| {
+            for kind in SchedulerKind::ALL {
+                for cap in [63, 64, 65, 97, 224] {
+                    churn(rng, kind, cap, &mut cov);
                 }
-                let width = (next() % 5) as usize;
-                let mut bf = budgets(2);
-                if round % 3 == 0 {
-                    bf[Pool::Mem.idx()] = 0; // starve a pool: budget-skip path
-                }
-                let mut bg = bf;
-                let gf: Vec<u64> =
-                    fused.select(&mut bf, width).iter().map(|(_, e)| e.seq).collect();
-                let gg: Vec<u64> =
-                    generic.select(&mut bg, width).iter().map(|(_, e)| e.seq).collect();
-                assert_eq!(gf, gg, "{kind:?} grants diverged from generic path");
-                assert_eq!(bf, bg, "{kind:?} budget consumption diverged");
             }
-        }
+        });
+        assert!(cov.crit_jumps > 0, "no critical entry ever outranked an older one");
+        assert!(cov.multi_pool_heads > 0, "MULT never had heads in two pools");
+        assert!(cov.same_slot_refetch > 0, "no refetch reused its squashed slot");
+        assert!(cov.budget_skips > 0, "no select ever ran out of pool budget");
     }
 }

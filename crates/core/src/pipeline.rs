@@ -352,7 +352,9 @@ impl Core {
     /// Panics if the configuration is invalid.
     #[must_use]
     pub fn new(src: impl Into<crate::fetch::FetchSource>, cfg: CoreConfig) -> Self {
-        cfg.validate();
+        if let Err(e) = cfg.validate() {
+            panic!("invalid core configuration: {e}");
+        }
         let crit = cfg
             .scheduler
             .uses_criticality()
@@ -852,10 +854,32 @@ impl Core {
         }
     }
 
+    /// Cross-checks every issue queue's select order against the live
+    /// entries (campaigns and integration tests; O(n²), in every build
+    /// profile): the `(!critical, seq)` key ranking of the ready entries,
+    /// and the single-oldest heads of AGE and MULT, equal those of the
+    /// paper's age matrix rebuilt from the queue's live entries
+    /// ([`IssueQueue::ranking_matrix`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any queue's key ranking and matrix ranking disagree.
+    #[doc(hidden)]
+    pub fn debug_verify_issue_order(&self) {
+        for (qi, iq) in self.iqs.iter().enumerate() {
+            assert_eq!(
+                iq.ranking(),
+                iq.ranking_matrix(),
+                "IQ {qi} ({:?}): key ranking diverged from the age-matrix oracle",
+                iq.kind(),
+            );
+        }
+    }
+
     /// Debug probe: the head instruction's `(class, completed, safe_self,
     /// issued)` state, for bottleneck analysis in the harness.
     #[doc(hidden)]
-    pub fn debug_head_state(&mut self) -> Option<(InstClass, bool, bool, bool)> {
+    pub fn debug_head_state(&self) -> Option<(InstClass, bool, bool, bool)> {
         let h = self.rob.head()?;
         let e = self.rob.entry(h);
         Some((e.class, e.completed, self.rob.is_safe_self(h), e.issued))

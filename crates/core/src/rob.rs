@@ -1,19 +1,23 @@
 //! The non-collapsible reorder buffer: free-list allocation into any
 //! slot, the `SPEC` vector of the merged commit scheduler (§3.2), and the
-//! dispatch-order deque that is the ROB's one program order.
+//! dispatch-order list that is the ROB's one program order.
 //!
-//! Every order query walks that deque. The Orinoco commit grants and the
-//! any-grant stall probe walk it oldest first and stop at the first live
-//! `SPEC` entry; the in-order commit policies take its live prefix; a
-//! squash takes its live suffix. The age matrix of the paper is the
-//! oracle, not a second scheduler: [`Rob::grants_orinoco_matrix`] rebuilds
-//! the merged [`CommitScheduler`] from the live entries and must grant
-//! exactly what the walk grants.
+//! Program order is an intrusive doubly linked list over the physical
+//! slots: dispatch links an entry at the tail and [`Rob::free`] unlinks
+//! it, so every walk visits live entries only. The Orinoco commit grants
+//! and the any-grant stall probe walk it oldest first and stop at the
+//! first `SPEC` entry; the in-order commit policies take its prefix of
+//! non-retired entries; a squash takes its suffix, walked youngest first.
+//! The age matrix of the paper is the oracle, not a second scheduler:
+//! [`Rob::grants_orinoco_matrix`] rebuilds the merged [`CommitScheduler`]
+//! from the live entries and must grant exactly what the walk grants.
 
 use crate::rename::PhysReg;
 use orinoco_isa::{ArchReg, DynInst, InstClass, Opcode};
 use orinoco_matrix::{BitVec64, CommitScheduler};
-use std::collections::VecDeque;
+
+/// The null link of the order list.
+const NIL: usize = usize::MAX;
 
 /// A ROB entry: the instruction's rename state, queue locations and
 /// execution status.
@@ -89,21 +93,24 @@ pub struct Rob {
     /// occupant may still misspeculate or fault.
     spec: BitVec64,
     completed: BitVec64,
-    /// Program order (dispatch order) as `(slot, generation)` pairs —
-    /// the ROB's one order. A pair is stale — skipped lazily — once the
-    /// slot was freed or recycled. Staleness is a generation compare
-    /// rather than a seq compare: a squash + refetch re-installs the
-    /// *same* dynamic instruction (same seq) and can land in the *same*
-    /// slot, which would make an identical `(slot, seq)` pair ambiguous
-    /// with its stale twin — generations never repeat for a slot.
+    /// Program order (dispatch order), the ROB's one order: an intrusive
+    /// doubly linked list over the physical slots. `next[i]`/`prev[i]`
+    /// link the occupant of slot `i` to its younger/older neighbour
+    /// (`NIL` at the ends; a free slot's links are stale and never read);
+    /// `first`/`last` are the oldest and youngest live slots. Every live entry is linked,
+    /// retired zombies included, from `install` until `free`, so a walk
+    /// never meets a freed slot.
     ///
-    /// Live pairs are strictly seq-ascending: fetch numbers in order,
+    /// The list is strictly seq-ascending: fetch numbers in order,
     /// wrong-path synthetics start above `1 << 62` and only grow, and
     /// squashes remove suffixes and re-inject in seq order. So the squash
-    /// set of [`Rob::from_seq_into`] is a live suffix of the deque.
-    order: VecDeque<(usize, u64)>,
+    /// set of [`Rob::from_seq_into`] is a suffix of the list.
+    next: Vec<usize>,
+    prev: Vec<usize>,
+    first: usize,
+    last: usize,
     /// Per-slot generation counters (bumped on free) to invalidate stale
-    /// events and stale `order` pairs.
+    /// events.
     gens: Vec<u64>,
     /// Compact retired-zombie bits, mirroring `RobEntry::retired`.
     retired_bits: BitVec64,
@@ -121,10 +128,10 @@ impl Rob {
             free: (0..physical).rev().collect(),
             spec: BitVec64::new(physical),
             completed: BitVec64::new(physical),
-            // 2x the physical slot count: stale pairs accumulate between
-            // lazy compactions (see `install`), and the headroom keeps
-            // pushes amortised allocation-free.
-            order: VecDeque::with_capacity(physical * 2),
+            next: vec![NIL; physical],
+            prev: vec![NIL; physical],
+            first: NIL,
+            last: NIL,
             gens: vec![0; physical],
             retired_bits: BitVec64::new(physical),
             logical_cap: cap,
@@ -230,16 +237,39 @@ impl Rob {
         self.logical_used += 1;
         self.spec.assign(idx, speculative);
         self.completed.clear(idx);
-        // Lazily compact stale pairs once they dominate the deque; live
-        // pairs never exceed the physical slot count, so after compaction
-        // the push below always fits without reallocating.
-        if self.order.len() >= self.slots.len() * 2 {
-            let (slots, gens) = (&self.slots, &self.gens);
-            self.order.retain(|&(i, g)| slots[i].is_some() && gens[i] == g);
+        // Link at the tail: the youngest instruction.
+        self.prev[idx] = self.last;
+        self.next[idx] = NIL;
+        match self.last {
+            NIL => self.first = idx,
+            tail => self.next[tail] = idx,
         }
-        self.order.push_back((idx, self.gens[idx]));
+        self.last = idx;
         self.retired_bits.clear(idx);
         self.slots[idx] = Some(entry);
+    }
+
+    /// Takes `idx` out of the order list, joining its neighbours.
+    fn unlink(&mut self, idx: usize) {
+        let (p, n) = (self.prev[idx], self.next[idx]);
+        match p {
+            NIL => self.first = n,
+            p => self.next[p] = n,
+        }
+        match n {
+            NIL => self.last = p,
+            n => self.prev[n] = p,
+        }
+    }
+
+    /// The live slots, oldest first.
+    fn oldest_first(&self) -> Links<'_> {
+        Links { links: &self.next, cur: self.first }
+    }
+
+    /// The live slots, youngest first.
+    fn youngest_first(&self) -> Links<'_> {
+        Links { links: &self.prev, cur: self.last }
     }
 
     /// Entry accessor.
@@ -280,7 +310,7 @@ impl Rob {
     }
 
     /// Re-sets the `SPEC` bit (replay). Not for a retired zombie: it has
-    /// already committed, and [`Rob::head`] may have popped it.
+    /// already committed.
     pub fn mark_speculative(&mut self, idx: usize) {
         self.spec.set(idx);
     }
@@ -293,13 +323,10 @@ impl Rob {
 
     /// The one walk behind every Orinoco grant query (see
     /// [`Rob::grants_orinoco_into`]): the grantable entries, oldest first.
-    /// Only the compact side arrays (`gens`, bit vectors) are read: the
+    /// Only the compact side arrays (links, bit vectors) are read: the
     /// wide `RobEntry` slots would cost a cache miss per step.
     fn grantable(&self, depth: Option<usize>) -> impl Iterator<Item = usize> + '_ {
-        self.order
-            .iter()
-            .filter(|&&(i, g)| self.gens[i] == g)
-            .map(|&(i, _)| i)
+        self.oldest_first()
             .take_while(|&i| !self.spec.get(i))
             .filter(move |&i| depth.is_none() || !self.retired_bits.get(i))
             .take(depth.unwrap_or(usize::MAX))
@@ -338,8 +365,8 @@ impl Rob {
     /// older live `SPEC` entry (`row & SPEC` reduction-NORs to zero) — is
     /// monotone in age: the oldest live `SPEC` entry blocks every younger
     /// entry and nothing older. So the grants are the first `width`
-    /// completed entries of a walk over the order deque that stops at the
-    /// first live `SPEC` entry. `Some(d)` restricts them to the `d` oldest
+    /// completed entries of a walk over the order list that stops at the
+    /// first `SPEC` entry. `Some(d)` restricts them to the `d` oldest
     /// live, non-retired entries — the "limited commit depth" ablation of
     /// §6.2 (how far the core can scan to find instructions to commit out
     /// of order). Retired zombies sit outside that window but still block
@@ -350,19 +377,17 @@ impl Rob {
     }
 
     /// The matrix oracle of [`Rob::grants_orinoco_depth`]: the merged
-    /// [`CommitScheduler`] of §3.2 is rebuilt from the live entries in
+    /// [`CommitScheduler`] of §3.2 is rebuilt from every live entry in
     /// dispatch order and asked for its `width` oldest grants among the
-    /// completed entries of the `depth` window. The only live entries it
-    /// leaves out are the resolved zombies [`Rob::head`] popped: their
-    /// `SPEC` bit is clear, and the pipeline frees a zombie the moment it
-    /// completes, so they can neither be granted nor block a grant.
-    /// Rebuilding costs O(n²) per call; the invariant checks of
-    /// [`crate::Core`] and the tests call it, the pipeline never does.
+    /// completed entries of the `depth` window. Rebuilding costs O(n²) per
+    /// call; the invariant checks of [`crate::Core`] and the tests call
+    /// it, the pipeline never does.
     ///
     /// # Panics
     ///
     /// Panics if live dispatch order is not strictly seq-ascending — the
-    /// invariant the squash walk and the issue queue's seq sort rest on.
+    /// invariant the squash walk and the issue queue's key ranking rest
+    /// on.
     #[doc(hidden)]
     #[must_use]
     pub fn grants_orinoco_matrix(&self, width: usize, depth: Option<usize>) -> Vec<usize> {
@@ -371,10 +396,7 @@ impl Rob {
         let mut window = BitVec64::new(n);
         let mut room = depth.unwrap_or(usize::MAX);
         let mut prev = None;
-        for &(i, g) in &self.order {
-            if self.gens[i] != g {
-                continue;
-            }
+        for i in self.oldest_first() {
             let seq = self.entry(i).seq;
             assert!(prev < Some(seq), "live dispatch order not seq-ascending at seq {seq}");
             prev = Some(seq);
@@ -388,29 +410,35 @@ impl Rob {
     }
 
     /// The oldest live, non-retired instruction (the "head" of the logical
-    /// FIFO). Stale pairs and resolved zombies at the front are popped for
-    /// good — a zombie never blocks the head again — which also keeps the
-    /// front of every later walk this cycle short. A zombie whose `SPEC`
-    /// bit is still set (a BR branch retired before it resolved) stays in
-    /// the deque: like its row ∧ `SPEC` in the matrix, it must block every
-    /// younger grant until it resolves.
+    /// FIFO). Retired zombies stay linked until they are freed: a resolved
+    /// one is never completed (the pipeline frees a zombie the moment it
+    /// completes), so it is never granted, and its clear `SPEC` bit blocks
+    /// nothing; an unresolved one (a BR branch retired before it resolved)
+    /// blocks every younger grant until it resolves, as its row ∧ `SPEC`
+    /// does in the matrix.
     #[must_use]
-    pub fn head(&mut self) -> Option<usize> {
-        while let Some(&(i, g)) = self.order.front() {
-            if self.gens[i] == g && (!self.retired_bits.get(i) || self.spec.get(i)) {
-                break;
-            }
-            self.order.pop_front();
-        }
+    pub fn head(&self) -> Option<usize> {
         self.unretired().next()
     }
 
     /// Live, non-retired entries in program order.
     fn unretired(&self) -> impl Iterator<Item = usize> + '_ {
-        self.order
-            .iter()
-            .filter(|&&(i, g)| self.gens[i] == g && !self.retired_bits.get(i))
-            .map(|&(i, _)| i)
+        self.oldest_first().filter(|&i| !self.retired_bits.get(i))
+    }
+
+    /// Every linked slot, oldest first (test oracle of the order list).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the backward links do not mirror the forward ones.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn linked_order(&self) -> Vec<usize> {
+        let order: Vec<usize> = self.oldest_first().take(self.slots.len() + 1).collect();
+        let mut back: Vec<usize> = self.youngest_first().take(self.slots.len() + 1).collect();
+        back.reverse();
+        assert_eq!(order, back, "backward links do not mirror the forward ones");
+        order
     }
 
     /// The first `k` live, non-retired entries in program order.
@@ -450,14 +478,11 @@ impl Rob {
 
     /// Allocation-free counterpart of [`Rob::from_seq`]: the squash set is
     /// written into the caller-owned `out` (cleared first). Live dispatch
-    /// order is seq-ascending, so the set is the live suffix of the order
-    /// deque, collected by walking it from the back.
+    /// order is seq-ascending, so the set is a suffix of the order list,
+    /// collected by walking it youngest first.
     pub fn from_seq_into(&self, from: u64, out: &mut Vec<usize>) {
         out.clear();
-        for &(i, g) in self.order.iter().rev() {
-            if self.gens[i] != g {
-                continue;
-            }
+        for i in self.youngest_first() {
             let e = self.entry(i);
             if e.seq < from {
                 break;
@@ -482,8 +507,9 @@ impl Rob {
         self.logical_used -= 1;
     }
 
-    /// Frees a committed or squashed entry, bumping its generation so
-    /// in-flight events for it become stale.
+    /// Frees a committed or squashed entry — the one place an entry
+    /// leaves the order list — bumping its generation so in-flight events
+    /// for it become stale.
     ///
     /// # Panics
     ///
@@ -495,6 +521,7 @@ impl Rob {
         if !entry.retired {
             self.logical_used -= 1;
         }
+        self.unlink(idx);
         self.spec.clear(idx);
         self.completed.clear(idx);
         self.gens[idx] += 1;
@@ -513,10 +540,30 @@ impl Rob {
         self.spec.clear_all();
         self.completed.clear_all();
         self.retired_bits.clear_all();
-        self.order.clear();
+        self.first = NIL;
+        self.last = NIL;
         self.free.clear();
         self.free.extend((0..self.slots.len()).rev());
         self.logical_used = 0;
+    }
+}
+
+/// A walk along one direction of the order list.
+struct Links<'a> {
+    links: &'a [usize],
+    cur: usize,
+}
+
+impl Iterator for Links<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        let i = self.cur;
+        if i == NIL {
+            return None;
+        }
+        self.cur = self.links[i];
+        Some(i)
     }
 }
 

@@ -5,9 +5,10 @@
 //! order must never be read again stale.
 //!
 //! The pipeline is stepped manually (not via [`Core::run`]) so the naive
-//! O(n²) cross-check [`Core::debug_verify_commit_invariants`] can run
-//! every cycle against the live ROB state, independently of the matrix
-//! logic it verifies.
+//! O(n²) cross-checks [`Core::debug_verify_commit_invariants`] and
+//! [`Core::debug_verify_issue_order`] can run every cycle against the
+//! live ROB and IQ state, independently of the walks and key rankings
+//! they verify.
 
 use orinoco_core::{CommitKind, Core, CoreConfig, SchedulerKind};
 use orinoco_isa::{ArchReg, Emulator, ProgramBuilder};
@@ -84,7 +85,7 @@ fn tiny(mut cfg: CoreConfig) -> CoreConfig {
 }
 
 /// Steps the core to completion, cross-checking the commit invariants
-/// every cycle. Returns (cycles, commit events).
+/// and the issue order every cycle. Returns (cycles, commit events).
 fn run_checked(mut core: Core, max_cycles: u64) -> (u64, Vec<orinoco_core::CommitEvent>) {
     core.enable_commit_trace();
     let mut events = Vec::new();
@@ -94,6 +95,7 @@ fn run_checked(mut core: Core, max_cycles: u64) -> (u64, Vec<orinoco_core::Commi
         core.step();
         cycles += 1;
         core.debug_verify_commit_invariants();
+        core.debug_verify_issue_order();
         events.extend(core.drain_commit_trace());
     }
     assert_eq!(
@@ -110,7 +112,7 @@ fn run_checked(mut core: Core, max_cycles: u64) -> (u64, Vec<orinoco_core::Commi
 fn never_commits_past_unresolved_older_speculative() {
     let mut rng = Rng::seed_from_u64(0x1217_0001);
     type ConfigMaker = fn() -> CoreConfig;
-    let configs: [(&str, ConfigMaker); 5] = [
+    let configs: [(&str, ConfigMaker); 7] = [
         ("orinoco-base", || {
             CoreConfig::base()
                 .with_scheduler(SchedulerKind::Orinoco)
@@ -134,6 +136,19 @@ fn never_commits_past_unresolved_older_speculative() {
             CoreConfig::base()
                 .with_scheduler(SchedulerKind::Age)
                 .with_commit(CommitKind::Orinoco)
+        }),
+        // The paper's baseline: the AGE select's single-oldest head and
+        // in-order commit.
+        ("age-ioc", || {
+            CoreConfig::base()
+                .with_scheduler(SchedulerKind::Age)
+                .with_commit(CommitKind::InOrder)
+        }),
+        // Criticality: the one place age order is not seq order.
+        ("cri-age", || {
+            CoreConfig::base()
+                .with_scheduler(SchedulerKind::CriAge)
+                .with_commit(CommitKind::InOrder)
         }),
         // Limited commit depth: the walk's depth-window path is
         // cross-checked against the matrix scan every cycle.

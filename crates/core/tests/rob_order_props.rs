@@ -1,15 +1,18 @@
-//! Property tests for the ROB's one program order: the dispatch-order
-//! deque walk that produces every Orinoco commit grant, the any-grant
-//! stall probe and the squash set.
+//! Property tests for the ROB's one program order: the linked dispatch-
+//! order list whose walks produce every Orinoco commit grant, the
+//! any-grant stall probe and the squash set.
 //!
 //! Random histories drive `alloc`/`alloc_banked`, `mark_completed`,
-//! `mark_safe`/`mark_speculative`, `retire_early`, out-of-order `free`,
-//! `head` (which pops the front of the deque) and squashes through
+//! `mark_safe`/`mark_speculative`, `retire_early`, out-of-order `free`
+//! (the one place an entry is unlinked), `head` and squashes through
 //! `from_seq_into` that re-allocate the squashed seqs into recycled slots
-//! — the shape that once left a stale deque pair identical to a live one.
-//! As in the pipeline, a zombie is freed the moment it completes. A plain
-//! model (live entries in seq order) tracks the truth. After every step:
+//! — the shape that once left a stale order entry identical to a live
+//! one. As in the pipeline, a zombie is freed the moment it completes. A
+//! plain model (live entries in seq order) tracks the truth. After every
+//! step:
 //!
+//! * the list, walked forward and backward, visits exactly the model's
+//!   live slots (retired zombies included) in seq order;
 //! * the walk's grants at widths 1–8, for depth `None` and 1–8, equal the
 //!   paper's merged age-matrix + `SPEC` scheduler rebuilt from the model;
 //! * `any_grant_orinoco()` equals `!grants_orinoco(1).is_empty()`;
@@ -221,6 +224,8 @@ fn step(rng: &mut Rng, rob: &mut Rob, model: &mut Model, phys: usize, cov: &mut 
 }
 
 fn check(rng: &mut Rng, rob: &Rob, model: &Model, phys: usize, cov: &mut Coverage) {
+    let live: Vec<usize> = model.live.iter().map(|e| e.slot).collect();
+    assert_eq!(rob.linked_order(), live, "the order list does not hold exactly the live slots");
     let sched = rebuild(phys, model);
     let all = rob.grants_orinoco(usize::MAX);
     cov.granted += u64::from(!all.is_empty());
@@ -253,15 +258,14 @@ fn check(rng: &mut Rng, rob: &Rob, model: &Model, phys: usize, cov: &mut Coverag
 }
 
 #[test]
-fn deque_walk_matches_rebuilt_matrix_under_churn() {
+fn linked_walk_matches_rebuilt_matrix_under_churn() {
     let mut cov = Coverage::default();
     prop::forall("rob_order_walk_vs_matrix", 0x50B0, 16, |rng| {
         for cap in CAPS {
             let phys = 2 * cap;
             let mut rob = Rob::new(cap);
             let mut model = Model { live: Vec::new(), next_seq: 0, squashed: Vec::new() };
-            // Long enough for the deque's lazy compaction (at twice the
-            // physical slot count) to run several times.
+            // Long enough to recycle every physical slot many times over.
             for _ in 0..16 * cap {
                 step(rng, &mut rob, &mut model, phys, &mut cov);
                 check(rng, &rob, &model, phys, &mut cov);

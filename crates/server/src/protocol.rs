@@ -289,7 +289,10 @@ impl ConfigSpec {
 
     /// Materialises the [`CoreConfig`] this spec describes, seeding it
     /// with `seed` (the sim seed, so config-seeded structures like
-    /// predictors derive from the job identity).
+    /// predictors derive from the job identity). The sizes are the
+    /// client's, so the result may be invalid: the job paths run
+    /// [`CoreConfig::validate`] on it and answer a bad spec with `Failed`,
+    /// and `Core::new` panics on it.
     #[must_use]
     pub fn to_core_config(&self, seed: u64) -> CoreConfig {
         let mut cfg = match self.preset {
@@ -308,7 +311,6 @@ impl ConfigSpec {
             cfg.iq_entries = self.iq_entries as usize;
         }
         cfg.seed = seed;
-        cfg.validate();
         cfg
     }
 

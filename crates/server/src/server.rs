@@ -189,9 +189,10 @@ impl ServerInner {
 /// the cache, and answers the submitter. Panics out of the simulation are
 /// converted to `Failed` here — then re-raised so the mailbox panic
 /// counter still sees them, keeping "jobs that panicked a lane"
-/// observable at the dispatcher. Jobs can also fail *politely* (a
-/// semantically invalid `Sample` spec): those yield `Failed` without
-/// unwinding — no lane was poisoned, so nothing is discarded or counted.
+/// observable at the dispatcher. Jobs can also fail *politely* (an
+/// invalid core configuration, or a semantically invalid `Sample` spec):
+/// those yield `Failed` without unwinding — no lane was poisoned, so
+/// nothing is discarded or counted.
 fn run_primary(
     inner: &Arc<ServerInner>,
     ctx: &mut WorkerCtx,
@@ -205,7 +206,7 @@ fn run_primary(
         let _ = tx.send(Response::Progress { job_id, cycles, committed, stalls });
     };
     let outcome = catch_unwind(AssertUnwindSafe(|| match spec {
-        JobSpec::Sim(sim) => Ok(JobResult::Sim(run_sim_on_fleet(&mut ctx.fleet, &sim, progress))),
+        JobSpec::Sim(sim) => run_sim_on_fleet(&mut ctx.fleet, &sim, progress).map(JobResult::Sim),
         JobSpec::VerifChunk(c) => {
             Ok(JobResult::Verif(campaign_chunk(c.campaign_seed, c.start, c.count, c.programs)))
         }
@@ -300,15 +301,18 @@ fn execute_sim(core: &mut Core, spec: &SimSpec, mut progress: impl FnMut(u64, u6
 }
 
 /// Server-side sim execution: the core comes out of the worker's warm
-/// fleet; a panicking run drops it (`Fleet::with_lane`).
+/// fleet; a panicking run drops it (`Fleet::with_lane`). An invalid
+/// configuration comes back as `Err` (→ a `Failed` response) before any
+/// core is touched: a bad spec is a client mistake, not a poisoned lane.
 fn run_sim_on_fleet(
     fleet: &mut Fleet,
     spec: &SimSpec,
     progress: impl FnMut(u64, u64, String),
-) -> SimResult {
+) -> Result<SimResult, String> {
     let cfg = spec.config.to_core_config(spec.seed);
+    cfg.validate()?;
     let emu = build_emulator(spec);
-    fleet.with_lane(cfg, emu, |core| execute_sim(core, spec, progress))
+    Ok(fleet.with_lane(cfg, emu, |core| execute_sim(core, spec, progress)))
 }
 
 /// Server-side sampling execution. Validation failures come back as
@@ -321,6 +325,7 @@ fn execute_sample(spec: &SampleSpec) -> Result<SampledResult, String> {
     let scfg = spec.to_sample_config();
     scfg.validate()?;
     let cfg = spec.config.to_core_config(spec.seed);
+    cfg.validate()?;
     let emu = spec.workload.build(spec.seed, spec.scale as u32);
     let stats = run_sampled(emu, cfg, &scfg);
     let summary = stats.summary();
@@ -340,8 +345,14 @@ fn execute_sample(spec: &SampleSpec) -> Result<SampledResult, String> {
 /// Reference path: the exact computation a one-shot sweep binary performs
 /// — fresh core, no pool, no server. The multi-client determinism tests
 /// diff server results against this byte for byte.
+///
+/// # Errors
+///
+/// An invalid configuration ([`orinoco_core::CoreConfig::validate`]), or
+/// the message of a run that panicked.
 pub fn run_one_shot(spec: &SimSpec) -> Result<SimResult, String> {
     let cfg = spec.config.to_core_config(spec.seed);
+    cfg.validate()?;
     let emu = build_emulator(spec);
     catch_unwind(AssertUnwindSafe(|| {
         let mut core = Core::new(emu, cfg);

@@ -225,3 +225,39 @@ fn tcp_transport_carries_a_mini_sweep() {
     tcp.send(&Request::Bye).ok();
     front.stop();
 }
+
+/// A client-chosen core shape that fails validation (here an IQ larger
+/// than the ROB) is answered with `Failed` — no worker panics — and the
+/// next job on the same connection runs normally.
+#[test]
+fn invalid_core_config_fails_politely_over_tcp() {
+    let good = sweep_grid()[0];
+    let bad = SimSpec {
+        config: ConfigSpec { rob_entries: 64, iq_entries: 97, ..good.config },
+        ..good
+    };
+    let reason = run_one_shot(&bad).expect_err("one-shot must refuse the spec");
+    assert!(reason.contains("IQ larger than ROB"), "unhelpful reason: {reason}");
+
+    let server = Server::new(1);
+    let front = TcpFront::spawn(&server, "127.0.0.1:0").expect("bind");
+    let mut tcp = TcpClient::connect(front.addr()).expect("connect");
+    let mut run = |spec: SimSpec| {
+        tcp.send(&Request::Submit { queue: 1, spec: JobSpec::Sim(spec) }).expect("submit");
+        loop {
+            match tcp.recv().expect("recv").expect("open") {
+                Response::Done { result: JobResult::Sim(r), .. } => return Ok(r),
+                Response::Failed { reason, .. } => return Err(reason),
+                _ => {}
+            }
+        }
+    };
+    let reason = run(bad).expect_err("invalid spec must fail");
+    assert!(reason.contains("IQ larger than ROB"), "unhelpful reason: {reason}");
+    assert_eq!(server.job_panics(), 0, "a bad spec must not unwind a worker");
+    let r = run(good).expect("valid job after the failure");
+    assert_eq!(r, run_one_shot(&good).expect("reference"));
+    assert_eq!(server.job_panics(), 0);
+    tcp.send(&Request::Bye).ok();
+    front.stop();
+}

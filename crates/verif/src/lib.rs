@@ -28,6 +28,7 @@ pub mod gen;
 pub mod litmus;
 pub mod mcm;
 pub mod oracle;
+pub mod order;
 pub mod syslitmus;
 pub mod traceinv;
 
@@ -40,6 +41,7 @@ pub use mcm::{check_tso, extract_trace, mcm_campaign, McmOutcome, McmTrace, McmV
 pub use oracle::{
     run_cosim, run_cosim_pooled, CosimOptions, CosimReport, Divergence, LockstepChecker,
 };
+pub use order::{order_campaign, OrderFailure, OrderOutcome};
 pub use traceinv::{check_lifecycle, trace_invariant_campaign, TraceCheck, TraceInvOutcome};
 
 use orinoco_core::{CommitKind, CoreConfig, Fleet, SchedulerKind};
@@ -74,6 +76,19 @@ pub fn program_seeds(campaign_seed: u64, programs: u64) -> Vec<u64> {
     (0..programs).map(|_| rng.next_u64()).collect()
 }
 
+/// `cfg` shrunk to tiny queues (24-entry ROB, 12-entry IQ, 6/5-entry
+/// LQ/SQ, 40 physical registers per file, 4-entry VB): every slot is
+/// recycled many times within one short fuzz program.
+pub(crate) fn tiny(mut cfg: CoreConfig) -> CoreConfig {
+    cfg.rob_entries = 24;
+    cfg.iq_entries = 12;
+    cfg.lq_entries = 6;
+    cfg.sq_entries = 5;
+    cfg.phys_regs = 40;
+    cfg.vb_entries = 4;
+    cfg
+}
+
 /// The core configuration a program seed maps to (deterministic, so
 /// `replay <seed>` reproduces the exact run). Rotates through the
 /// configurations most likely to stress unordered commit: base and ultra
@@ -94,18 +109,14 @@ pub fn config_for_seed(pseed: u64) -> (CoreConfig, &'static str) {
                 .with_commit(CommitKind::Orinoco),
             "orinoco-agesched",
         ),
-        2 => {
-            let mut c = CoreConfig::base()
-                .with_scheduler(SchedulerKind::Orinoco)
-                .with_commit(CommitKind::Orinoco);
-            c.rob_entries = 24;
-            c.iq_entries = 12;
-            c.lq_entries = 6;
-            c.sq_entries = 5;
-            c.phys_regs = 40;
-            c.vb_entries = 4;
-            (c, "orinoco-tiny")
-        }
+        2 => (
+            tiny(
+                CoreConfig::base()
+                    .with_scheduler(SchedulerKind::Orinoco)
+                    .with_commit(CommitKind::Orinoco),
+            ),
+            "orinoco-tiny",
+        ),
         3 => {
             let mut c = CoreConfig::base()
                 .with_scheduler(SchedulerKind::Orinoco)

@@ -7,11 +7,18 @@
 //! verif litmus
 //! verif traceinv [--programs N] [--seed S]
 //! verif ffeq [--programs N] [--seed S] [--jobs J]
+//! verif mcm [--programs N] [--seed S] [--jobs J]
+//! verif order [--programs N] [--seed S] [--jobs J]
 //! ```
 //!
 //! `ffeq` runs every fuzz program to completion twice — idle-cycle
 //! fast-forward on and off — and fails unless commit streams, `SimStats`
 //! and stall taxonomies are identical (DESIGN.md §10).
+//!
+//! `order` steps every fuzz program by hand under the age-ordered
+//! schedulers and Orinoco, at the Base and a tiny shape, and after every
+//! cycle checks the ROB's commit walk and each issue queue's key ranking
+//! against the matrices of the paper rebuilt from the live entries.
 //!
 //! `replay --trace N` arms the DUT's lifecycle-trace ring buffer with
 //! capacity `N`; if the replay diverges, the window of pipeline events
@@ -28,8 +35,8 @@
 //! oracle must be proven load-bearing in the same run).
 
 use orinoco_verif::{
-    ff_equivalence_campaign, fuzz_campaign_par, litmus, mcm_campaign, replay,
-    sys_ff_equivalence_campaign, syslitmus, trace_invariant_campaign,
+    ff_equivalence_campaign, fuzz_campaign_par, litmus, mcm_campaign, order, order_campaign,
+    replay, sys_ff_equivalence_campaign, syslitmus, trace_invariant_campaign,
 };
 use std::process::ExitCode;
 use std::time::Duration;
@@ -40,7 +47,8 @@ fn usage() -> ExitCode {
          verif replay <seed> [--inject N] [--trace N]\n  verif litmus\n  \
          verif traceinv [--programs N] [--seed S]\n  \
          verif ffeq [--programs N] [--seed S] [--jobs J]\n  \
-         verif mcm [--programs N] [--seed S] [--jobs J]"
+         verif mcm [--programs N] [--seed S] [--jobs J]\n  \
+         verif order [--programs N] [--seed S] [--jobs J]"
     );
     ExitCode::from(2)
 }
@@ -428,6 +436,64 @@ fn cmd_mcm(args: &[String]) -> ExitCode {
     }
 }
 
+fn cmd_order(args: &[String]) -> ExitCode {
+    let mut programs = 40u64;
+    let mut seed = 42u64;
+    let mut jobs = orinoco_util::pool::default_jobs();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        let val = |it: &mut std::slice::Iter<String>| it.next().and_then(|v| parse_u64(v));
+        match a.as_str() {
+            "--programs" => match val(&mut it) {
+                Some(v) => programs = v,
+                None => return usage(),
+            },
+            "--seed" => match val(&mut it) {
+                Some(v) => seed = v,
+                None => return usage(),
+            },
+            "--jobs" => match val(&mut it) {
+                Some(v) => jobs = (v as usize).max(1),
+                None => return usage(),
+            },
+            _ => return usage(),
+        }
+    }
+    let labels: Vec<&str> = order::CONFIGS.iter().map(|&(l, _)| l).collect();
+    println!(
+        "order: {programs} programs x {} configurations, campaign seed {seed}, {jobs} jobs",
+        labels.len()
+    );
+    println!("configurations: {}", labels.join(" "));
+    let last_decile = std::sync::atomic::AtomicU64::new(0);
+    let out = order_campaign(programs, seed, jobs, |done, total| {
+        let decile = done * 10 / total;
+        if last_decile.fetch_max(decile, std::sync::atomic::Ordering::Relaxed) < decile {
+            println!("  ... {done}/{total} programs");
+        }
+    });
+    println!(
+        "{} runs, {} cycles each checked against both matrix oracles, {} commits, {} failures",
+        out.runs,
+        out.total_cycles,
+        out.total_commits,
+        out.failures.len()
+    );
+    for f in &out.failures {
+        println!(
+            "  FAILURE [{}] seed {:#x} after cycle {}: {}",
+            f.config, f.program_seed, f.cycle, f.detail
+        );
+    }
+    if out.passed() {
+        println!("PASS: every commit walk and issue ranking matched its matrix oracle");
+        ExitCode::SUCCESS
+    } else {
+        println!("FAIL");
+        ExitCode::FAILURE
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -437,6 +503,7 @@ fn main() -> ExitCode {
         Some("traceinv") => cmd_traceinv(&args[1..]),
         Some("ffeq") => cmd_ffeq(&args[1..]),
         Some("mcm") => cmd_mcm(&args[1..]),
+        Some("order") => cmd_order(&args[1..]),
         _ => usage(),
     }
 }
