@@ -116,10 +116,10 @@ impl Clone for FrontendWarm {
 
 impl FrontendWarm {
     /// Functionally trains the predictor structures on one executed
-    /// control-flow instruction, mirroring [`FetchUnit::predict`] on the
-    /// correct path (SMARTS-style functional warming during
-    /// sampled-simulation fast-forward). Non-control-flow instructions
-    /// are ignored, so callers may feed the whole stream.
+    /// control-flow instruction, mirroring the fetch unit's own
+    /// prediction on the correct path (SMARTS-style functional warming
+    /// during sampled-simulation fast-forward). Non-control-flow
+    /// instructions are ignored, so callers may feed the whole stream.
     ///
     /// Returns `true` when the (warm) predictor state would have
     /// mispredicted this instruction — the exact direction/target test

@@ -506,12 +506,15 @@ impl IssueQueue {
     /// The matrix oracle of [`IssueQueue::ranking`]: an [`AgeMatrix`] is
     /// rebuilt from the live entries, dispatched in seq order (criticals
     /// under a CRI scheduler through `dispatch_critical`), and asked for
-    /// the bit-count order of the ready set (`select_oldest_into`), the
+    /// the bit-count order of the ready set (`select_oldest`), the
     /// single-oldest head of AGE and the per-pool heads of MULT
     /// (`select_single_oldest`). It reads the wide entries — seq,
     /// criticality, pool, operand readiness — never the key array or the
-    /// ready bits. Rebuilding costs O(n²) per call; the invariant check of
-    /// [`crate::Core`] and the tests call it, the pipeline never does.
+    /// ready bits. Every empty slot requests too: in hardware an empty
+    /// entry's request bit is a don't-care that the arbiter masks with
+    /// `VLD`, so the matrix's own `VLD` mask must drop it. Rebuilding
+    /// costs O(n²) per call; the invariant check of [`crate::Core`] and
+    /// the tests call it, the pipeline never does.
     #[doc(hidden)]
     #[must_use]
     pub fn ranking_matrix(&self) -> Ranking {
@@ -535,15 +538,14 @@ impl IssueQueue {
         let ready_of = |pool: Option<Pool>| {
             BitVec64::from_indices(
                 self.cap,
-                live.iter().map(|&(_, s)| s).filter(|&s| {
+                (0..self.cap).filter(|&s| {
                     self.slots[s]
                         .as_ref()
-                        .is_some_and(|e| e.is_ready() && pool.is_none_or(|p| e.pool == p))
+                        .is_none_or(|e| e.is_ready() && pool.is_none_or(|p| e.pool == p))
                 }),
             )
         };
-        let mut order = Vec::new();
-        age.select_oldest_into(&ready_of(None), self.cap, &mut order);
+        let order = age.select_oldest(&ready_of(None), self.cap);
         let heads = match self.kind {
             SchedulerKind::Age => age.select_single_oldest(&ready_of(None)).into_iter().collect(),
             SchedulerKind::Mult => Pool::ALL

@@ -208,11 +208,11 @@ pub struct Core {
     cyc_stall_cause: Option<StallCause>,
 }
 
-/// Warmed microarchitectural state carried across [`Core::reset_warm`]:
-/// the memory hierarchy's cache/prefetcher contents and the frontend's
-/// trained predictors. Captured by [`Core::save_warm_state`]; used by the
-/// interval sampler to keep long-lived training alive between detailed
-/// samples.
+/// Warmed microarchitectural state carried across a core reset: the
+/// memory hierarchy's cache/prefetcher contents and the frontend's
+/// trained predictors. Captured by [`Core::save_warm_state`] and
+/// reinstated by [`Core::apply_warm_state`]; used by the interval sampler
+/// to keep long-lived training alive between detailed samples.
 #[derive(Clone, Debug)]
 pub struct WarmState {
     mem: MemorySystem,
@@ -327,24 +327,11 @@ impl WarmState {
     pub fn mem(&self) -> &MemorySystem {
         &self.mem
     }
-
-    /// Replaces this image's memory half with `other`'s (ablation tool:
-    /// isolate whether an accuracy gap comes from the cache image or the
-    /// predictor image).
-    pub fn adopt_mem(&mut self, other: &WarmState) {
-        self.mem = other.mem.clone();
-    }
-
-    /// Replaces this image's frontend half with `other`'s (see
-    /// [`WarmState::adopt_mem`]).
-    pub fn adopt_frontend(&mut self, other: &WarmState) {
-        self.frontend = other.frontend.clone();
-    }
 }
 
 impl Core {
     /// Builds a core over the given instruction source: an emulator
-    /// (program + data already initialised) or a [`ReplayStream`] of a
+    /// (program + data already initialised) or a [`crate::ReplayStream`] of a
     /// captured run (trace-driven frontend).
     ///
     /// # Panics
@@ -459,13 +446,13 @@ impl Core {
     }
 
     /// Snapshots the *warm* microarchitectural state — cache contents,
-    /// prefetcher training, direction predictor, BTB and RAS — for reuse
-    /// across a [`Core::reset_warm`]. Pipeline-transient structures (ROB,
-    /// IQs, LSQ, matrices, rename tables) are deliberately excluded: they
-    /// are empty at any interval boundary and refill within a few hundred
-    /// instructions of detailed warmup, whereas caches and predictors take
-    /// millions — exactly the long-lived state interval sampling must not
-    /// lose between samples.
+    /// prefetcher training, direction predictor, BTB and RAS — for
+    /// [`Core::apply_warm_state`] to reinstate on a reset core.
+    /// Pipeline-transient structures (ROB, IQs, LSQ, matrices, rename
+    /// tables) are deliberately excluded: they are empty at any interval
+    /// boundary and refill within a few hundred instructions of detailed
+    /// warmup, whereas caches and predictors take millions — exactly the
+    /// long-lived state interval sampling must not lose between samples.
     #[must_use]
     pub fn save_warm_state(&self) -> WarmState {
         WarmState {
@@ -479,24 +466,10 @@ impl Core {
         }
     }
 
-    /// [`Core::reset`] followed by reinstating a warm-state snapshot:
-    /// the run starts architecturally fresh (empty pipeline, zeroed
-    /// statistics, cycle 0) but with warmed caches and predictors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot was taken under a different memory
-    /// configuration.
-    pub fn reset_warm(&mut self, src: impl Into<crate::fetch::FetchSource>, warm: &WarmState) {
-        self.reset_inner(src.into());
-        self.apply_warm_state(warm);
-    }
-
-    /// Reinstates a warm-state snapshot onto an already-reset core — the
-    /// second half of [`Core::reset_warm`], split out for handout paths
-    /// ([`crate::fleet::Fleet::with_lane`]) where the handout has
-    /// already performed the reset. Calling this on a core that has run
-    /// cycles since its last reset leaves pipeline-transient state
+    /// Reinstates a warm-state snapshot onto an already-reset core, such
+    /// as the one a [`crate::fleet::Fleet::with_lane`] handout passes in
+    /// (the handout performs the reset). Calling this on a core that has
+    /// run cycles since its last reset leaves pipeline-transient state
     /// inconsistent with the warmed image; only call it reset-fresh.
     ///
     /// # Panics
@@ -874,22 +847,6 @@ impl Core {
                 iq.kind(),
             );
         }
-    }
-
-    /// Debug probe: the head instruction's `(class, completed, safe_self,
-    /// issued)` state, for bottleneck analysis in the harness.
-    #[doc(hidden)]
-    pub fn debug_head_state(&self) -> Option<(InstClass, bool, bool, bool)> {
-        let h = self.rob.head()?;
-        let e = self.rob.entry(h);
-        Some((e.class, e.completed, self.rob.is_safe_self(h), e.issued))
-    }
-
-    /// Debug probe: number of ROB entries that currently satisfy every
-    /// out-of-order commit condition.
-    #[doc(hidden)]
-    pub fn debug_committable(&self) -> usize {
-        self.rob.grants_orinoco(usize::MAX).len()
     }
 
     /// Injects a remote coherence invalidation for `addr` (the multicore

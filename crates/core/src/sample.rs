@@ -215,9 +215,17 @@ impl SampleConfig {
         cfg
     }
 
+    /// The largest [`SampleConfig::threads`] a configuration may ask for.
+    /// The sampler starts every worker as an OS thread up front, however
+    /// few intervals the program has, so a larger count is refused rather
+    /// than attempted: 256 is far above the core count of any host the
+    /// simulator runs on and far below the thread count that exhausts
+    /// process ids.
+    pub const MAX_THREADS: usize = 256;
+
     /// Checks the parameter invariants: `detail_insts > 0`,
-    /// `period_insts >= warmup_insts + detail_insts`, and `phases`, when
-    /// set, at least 1.
+    /// `period_insts >= warmup_insts + detail_insts`, `phases`, when set,
+    /// at least 1, and `threads` at most [`SampleConfig::MAX_THREADS`].
     ///
     /// # Errors
     ///
@@ -236,6 +244,13 @@ impl SampleConfig {
         }
         if self.phases == Some(0) {
             return Err("phases requires at least one cluster".into());
+        }
+        if self.threads > Self::MAX_THREADS {
+            return Err(format!(
+                "threads {} above the ceiling of {}",
+                self.threads,
+                Self::MAX_THREADS,
+            ));
         }
         Ok(())
     }
@@ -1128,6 +1143,11 @@ mod tests {
         let mut zero_k = SampleConfig::new(200, 1_000, 5_000);
         zero_k.phases = Some(0);
         assert!(zero_k.validate().unwrap_err().contains("phases"));
+        // Validation only: no sampler runs, so no thread starts.
+        let many = SampleConfig::new(200, 1_000, 5_000).with_threads(SampleConfig::MAX_THREADS + 1);
+        assert!(many.validate().unwrap_err().contains("threads"));
+        let max = SampleConfig::new(200, 1_000, 5_000).with_threads(SampleConfig::MAX_THREADS);
+        assert!(max.validate().is_ok());
         assert!(SampleConfig::new(200, 1_000, 5_000).validate().is_ok());
     }
 

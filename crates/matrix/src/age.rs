@@ -15,6 +15,11 @@
 //! *older requesting* entries (`popcount(row & BID)`); any entry whose count
 //! is below the issue width `IW` is one of the `IW` oldest and is granted,
 //! all in parallel, in O(1) time.
+//!
+//! Every query here is that scalar definition and nothing faster: the
+//! simulated issue queues rank by a `(!critical, seq)` key, and this
+//! matrix is the oracle their order check rebuilds (`orinoco-core`'s
+//! `IssueQueue::ranking_matrix`).
 
 use crate::{BitMatrix, BitVec64};
 
@@ -156,21 +161,11 @@ impl AgeMatrix {
         self.valid.clear(slot);
     }
 
-    /// Bit count read for one entry: how many of the entries in `request`
-    /// are older than `slot`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is out of bounds or `request` has the wrong length.
-    #[must_use]
-    pub fn older_count(&self, slot: usize, request: &BitVec64) -> u32 {
-        self.m.row_and_count(slot, request)
-    }
-
     /// Selects up to `width` oldest entries among `request`, returned in
-    /// age order (oldest first). This is the paper's parallel bit-count
-    /// arbitration: entry `i` is granted iff
-    /// `popcount(row_i & request) < width`.
+    /// age order (oldest first). This is the paper's bit-count
+    /// arbitration: each requesting valid entry reads its rank,
+    /// `popcount(row & request & VLD)`, and is granted iff the rank is
+    /// below `width`; grants are ordered by `(rank, slot)`.
     ///
     /// Requesting entries that are not valid are ignored.
     ///
@@ -179,95 +174,14 @@ impl AgeMatrix {
     /// Panics if `request.len()` differs from the capacity.
     #[must_use]
     pub fn select_oldest(&self, request: &BitVec64, width: usize) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.select_oldest_into(request, width, &mut out);
-        out
-    }
-
-    /// Allocation-free counterpart of [`AgeMatrix::select_oldest`]: grants
-    /// are written into the caller-owned `out` (cleared first, capacity
-    /// reused), oldest first. No intermediate `request & valid` vector is
-    /// materialised — the ranking reads run three-way against the raw
-    /// request and `VLD` vectors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `request.len()` differs from the capacity.
-    pub fn select_oldest_into(
-        &self,
-        request: &BitVec64,
-        width: usize,
-        out: &mut Vec<usize>,
-    ) {
         assert_eq!(request.len(), self.capacity(), "request length mismatch");
-        out.clear();
-        if width == 0 {
-            return;
-        }
-        // Rank-bucketing, no sort: a granted entry's rank (its count of
-        // older requesting entries) indexes its position in the output
-        // directly, because granted ranks always form the dense prefix
-        // 0..k-1 — if rank r is granted, its r older candidates have ranks
-        // below r and are granted too. Ranks never reach the capacity, so
-        // `rank < width` can be tested against the clamped `limit`.
-        let limit = width.min(self.capacity());
-        out.resize(limit, usize::MAX);
-        let mut found = 0usize;
-        for (wi, (&rw, &vw)) in request.words().iter().zip(self.valid.words()).enumerate() {
-            let mut m = rw & vw;
-            while m != 0 {
-                let slot = wi * 64 + m.trailing_zeros() as usize;
-                m &= m - 1;
-                if let Some(rank) =
-                    self.m.row_and2_rank_below(slot, request, &self.valid, limit as u32)
-                {
-                    let rank = rank as usize;
-                    if out[rank] != usize::MAX {
-                        // A rank tie is only possible under a partial order
-                        // (`dispatch_masked`); resolve it exactly as the
-                        // scalar path always has.
-                        self.select_oldest_into_ref(request, width, out);
-                        return;
-                    }
-                    out[rank] = slot;
-                    found += 1;
-                }
-            }
-        }
-        out.truncate(found);
-        #[cfg(debug_assertions)]
-        {
-            let mut reference = Vec::new();
-            self.select_oldest_into_ref(request, width, &mut reference);
-            assert_eq!(*out, reference, "word-parallel select diverged from scalar oracle");
-        }
-    }
-
-    /// The scalar reference implementation of
-    /// [`AgeMatrix::select_oldest_into`] (per-candidate full-row popcount +
-    /// sort by rank), retained as the oracle the word-parallel path is
-    /// cross-checked against in debug builds and property tests, and as the
-    /// tie-breaking fallback for partial orders.
-    #[doc(hidden)]
-    pub fn select_oldest_into_ref(
-        &self,
-        request: &BitVec64,
-        width: usize,
-        out: &mut Vec<usize>,
-    ) {
-        out.clear();
-        for slot in request.iter_ones_and(&self.valid) {
-            let count = self.m.row_and2_count(slot, request, &self.valid);
-            if (count as usize) < width {
-                out.push(slot);
-            }
-        }
-        // Ranks within the requesting set are distinct (up to partial-order
-        // ties), so this sort is a permutation into age order; grant counts
-        // are tiny (≤ width).
-        out.sort_unstable_by_key(|&slot| {
-            self.m.row_and2_count(slot, request, &self.valid)
-        });
+        let mut grants: Vec<(u32, usize)> = request
+            .iter_ones_and(&self.valid)
+            .map(|slot| (self.m.row_and2_count(slot, request, &self.valid), slot))
+            .filter(|&(rank, _)| (rank as usize) < width)
+            .collect();
+        grants.sort_unstable();
+        grants.into_iter().map(|(_, slot)| slot).collect()
     }
 
     /// The grant vector corresponding to [`AgeMatrix::select_oldest`] — the
@@ -278,63 +192,14 @@ impl AgeMatrix {
     /// Panics if `request.len()` differs from the capacity.
     #[must_use]
     pub fn grant_mask(&self, request: &BitVec64, width: usize) -> BitVec64 {
-        let mut out = BitVec64::new(self.capacity());
-        self.grant_mask_into(request, width, &mut out);
-        out
-    }
-
-    /// Allocation-free counterpart of [`AgeMatrix::grant_mask`]: the grant
-    /// bits are written into the caller-owned `out` (cleared first). Each
-    /// candidate costs one early-exiting rank read; no grant list is ever
-    /// materialised or sorted (the mask is insensitive to grant order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `request.len()` or `out.len()` differs from the capacity.
-    pub fn grant_mask_into(&self, request: &BitVec64, width: usize, out: &mut BitVec64) {
-        assert_eq!(request.len(), self.capacity(), "request length mismatch");
-        assert_eq!(out.len(), self.capacity(), "grant buffer length mismatch");
-        out.clear_all();
-        if width == 0 {
-            return;
-        }
-        let limit = width.min(self.capacity()) as u32;
-        for (wi, (&rw, &vw)) in request.words().iter().zip(self.valid.words()).enumerate() {
-            let mut m = rw & vw;
-            while m != 0 {
-                let slot = wi * 64 + m.trailing_zeros() as usize;
-                m &= m - 1;
-                if self.m.row_and2_rank_below(slot, request, &self.valid, limit).is_some() {
-                    out.set(slot);
-                }
-            }
-        }
-        #[cfg(debug_assertions)]
-        {
-            let mut reference = Vec::new();
-            self.select_oldest_into_ref(request, width, &mut reference);
-            assert_eq!(
-                out.iter_ones().collect::<Vec<_>>(),
-                {
-                    reference.sort_unstable();
-                    reference
-                },
-                "word-parallel grant mask diverged from scalar oracle"
-            );
-        }
+        BitVec64::from_indices(self.capacity(), self.select_oldest(request, width))
     }
 
     /// Classic AGE behaviour: grants only the single oldest requesting
-    /// entry (`row & request` reduction-NORs to zero).
-    ///
-    /// Implemented by chain-following: start at any requesting valid entry
-    /// and repeatedly hop to the first older requesting entry found in the
-    /// current row; each hop strictly descends the age order, so the walk
-    /// lands on an entry with no older requester in O(chain × words)
-    /// instead of scanning every candidate's full row. Under a total age
-    /// order this is *the* oldest requester; under a partial order
-    /// ([`AgeMatrix::dispatch_masked`]) it is one of the minimal
-    /// requesters.
+    /// entry, the first requesting valid entry whose `row & request & VLD`
+    /// reduction-NORs to zero. Under a partial order
+    /// ([`AgeMatrix::dispatch_masked`]) that is the lowest-indexed of the
+    /// minimal requesters.
     ///
     /// # Panics
     ///
@@ -342,29 +207,6 @@ impl AgeMatrix {
     #[must_use]
     pub fn select_single_oldest(&self, request: &BitVec64) -> Option<usize> {
         assert_eq!(request.len(), self.capacity(), "request length mismatch");
-        let mut cur = request.first_one_and(&self.valid)?;
-        for _ in 0..=self.capacity() {
-            match self.m.row_first_one_and2(cur, request, &self.valid) {
-                None => {
-                    debug_assert!(
-                        self.m.row_and2_is_zero(cur, request, &self.valid),
-                        "chain landed on a non-minimal entry"
-                    );
-                    return Some(cur);
-                }
-                Some(older) => cur = older,
-            }
-        }
-        panic!("age matrix order contains a cycle");
-    }
-
-    /// The scalar reference implementation of
-    /// [`AgeMatrix::select_single_oldest`] (linear candidate scan with a
-    /// full-row NOR per candidate; returns the lowest-indexed minimal
-    /// requester), retained as the property-test oracle.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn select_single_oldest_ref(&self, request: &BitVec64) -> Option<usize> {
         request
             .iter_ones_and(&self.valid)
             .find(|&slot| self.m.row_and2_is_zero(slot, request, &self.valid))
@@ -388,21 +230,9 @@ impl AgeMatrix {
     /// Panics if `slot` is out of bounds.
     #[must_use]
     pub fn younger_than(&self, slot: usize) -> BitVec64 {
-        let mut col = BitVec64::new(self.capacity());
-        self.younger_than_into(slot, &mut col);
+        let mut col = self.m.read_col(slot);
+        col.and_assign(&self.valid);
         col
-    }
-
-    /// Allocation-free counterpart of [`AgeMatrix::younger_than`]: the
-    /// column is read into the caller-owned `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is out of bounds or `out.len()` differs from the
-    /// capacity.
-    pub fn younger_than_into(&self, slot: usize, out: &mut BitVec64) {
-        self.m.read_col_into(slot, out);
-        out.and_assign(&self.valid);
     }
 
     /// `true` if the instruction in `a` is older than the one in `b`.

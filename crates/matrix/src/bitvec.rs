@@ -181,46 +181,11 @@ impl BitVec64 {
     #[must_use]
     pub fn and_count(&self, other: &Self) -> u32 {
         assert_eq!(self.len, other.len, "length mismatch in and_count");
-        self.count_ones_and(other)
-    }
-
-    /// Word-level popcount of `self & other` (the body of
-    /// [`BitVec64::and_count`], exposed under the name the scheduler code
-    /// uses): one `AND` + `count_ones` per 64 bits, no intermediate vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two vectors have different lengths.
-    #[inline]
-    #[must_use]
-    pub fn count_ones_and(&self, other: &Self) -> u32 {
-        assert_eq!(self.len, other.len, "length mismatch in count_ones_and");
         self.words
             .iter()
             .zip(&other.words)
             .map(|(a, b)| (a & b).count_ones())
             .sum()
-    }
-
-    /// Index of the lowest bit set in **both** `self` and `other`, found by
-    /// a `trailing_zeros` scan over the ANDed words — the word-level "first
-    /// grant" primitive of the select paths. `None` if the intersection is
-    /// empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two vectors have different lengths.
-    #[inline]
-    #[must_use]
-    pub fn first_one_and(&self, other: &Self) -> Option<usize> {
-        assert_eq!(self.len, other.len, "length mismatch in first_one_and");
-        for (wi, (a, b)) in self.words.iter().zip(&other.words).enumerate() {
-            let w = a & b;
-            if w != 0 {
-                return Some(wi * 64 + w.trailing_zeros() as usize);
-            }
-        }
-        None
     }
 
     /// `true` if `self & other` has no set bit (AND followed by reduction
@@ -319,25 +284,6 @@ impl BitVec64 {
     /// ```
     pub fn iter_ones(&self) -> IterOnes<'_> {
         IterOnes::from_words(&self.words)
-    }
-
-    /// Iterates over the indices of the set bits in **descending** order
-    /// (a `leading_zeros` scan from the top word down) — used by walks that
-    /// want the youngest entries first.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use orinoco_matrix::BitVec64;
-    /// let v = BitVec64::from_indices(80, [2, 65, 79]);
-    /// assert_eq!(v.iter_ones_rev().collect::<Vec<_>>(), vec![79, 65, 2]);
-    /// ```
-    pub fn iter_ones_rev(&self) -> IterOnesRev<'_> {
-        IterOnesRev {
-            words: &self.words,
-            word_idx: self.words.len(),
-            current: self.words.last().copied().unwrap_or(0),
-        }
     }
 
     /// Iterates over the indices set in **both** `self` and `other`, in
@@ -467,35 +413,6 @@ impl Iterator for IterOnes<'_> {
     }
 }
 
-/// Iterator over set-bit indices of a [`BitVec64`] in descending order,
-/// produced by [`BitVec64::iter_ones_rev`].
-pub struct IterOnesRev<'a> {
-    words: &'a [u64],
-    /// One past the index of the word `current` was loaded from
-    /// (0 = exhausted).
-    word_idx: usize,
-    current: u64,
-}
-
-impl Iterator for IterOnesRev<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        loop {
-            if self.current != 0 {
-                let bit = 63 - self.current.leading_zeros() as usize;
-                self.current ^= 1u64 << bit;
-                return Some((self.word_idx - 1) * 64 + bit);
-            }
-            if self.word_idx <= 1 {
-                return None;
-            }
-            self.word_idx -= 1;
-            self.current = self.words[self.word_idx - 1];
-        }
-    }
-}
-
 /// Iterator over the intersection of two [`BitVec64`]s, produced by
 /// [`BitVec64::iter_ones_and`]. ANDs one word pair at a time, so no
 /// intermediate vector is ever allocated.
@@ -616,32 +533,6 @@ mod tests {
         assert_eq!(BitVec64::new(100).iter_ones().count(), 0);
         assert_eq!(BitVec64::ones(100).iter_ones().count(), 100);
         assert_eq!(BitVec64::new(0).iter_ones().count(), 0);
-    }
-
-    #[test]
-    fn iter_ones_rev_descends() {
-        let v = BitVec64::from_indices(130, [0, 63, 64, 127, 129]);
-        assert_eq!(v.iter_ones_rev().collect::<Vec<_>>(), vec![129, 127, 64, 63, 0]);
-        assert_eq!(BitVec64::new(100).iter_ones_rev().count(), 0);
-        assert_eq!(BitVec64::new(0).iter_ones_rev().count(), 0);
-        assert_eq!(BitVec64::ones(70).iter_ones_rev().count(), 70);
-    }
-
-    #[test]
-    fn first_one_and_finds_lowest_intersection() {
-        let a = BitVec64::from_indices(128, [5, 70, 100]);
-        let b = BitVec64::from_indices(128, [6, 70, 100]);
-        assert_eq!(a.first_one_and(&b), Some(70));
-        assert_eq!(a.first_one_and(&BitVec64::new(128)), None);
-        assert_eq!(a.first_one_and(&a), Some(5));
-    }
-
-    #[test]
-    fn count_ones_and_matches_and_count() {
-        let a = BitVec64::from_indices(128, [1, 2, 3, 70, 100]);
-        let b = BitVec64::from_indices(128, [2, 3, 100, 127]);
-        assert_eq!(a.count_ones_and(&b), a.and_count(&b));
-        assert_eq!(a.count_ones_and(&b), 3);
     }
 
     #[test]

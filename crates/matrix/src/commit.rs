@@ -18,7 +18,10 @@
 //!   area by ~40% for the evaluated configuration.
 //!
 //! Both are exercised by the test-suite and checked equivalent by property
-//! tests in the crate's `tests/` tree.
+//! tests in the crate's `tests/` tree. Neither runs in the simulated
+//! pipeline: the ROB grants commit by walking a dispatch-order linked
+//! list, and [`CommitScheduler`] is the oracle its commit check rebuilds
+//! (`orinoco-core`'s `Rob::grants_orinoco_matrix`).
 
 use crate::{AgeMatrix, BitMatrix, BitVec64};
 
@@ -226,87 +229,25 @@ impl CommitScheduler {
         self.age.matrix().row_and_is_zero(slot, &self.spec)
     }
 
-    /// Grants commit to up to `width` instructions this cycle: among the
-    /// `completed` entries whose row ANDed with `SPEC` reduction-NORs to
-    /// zero, the `width` oldest are selected with the bit count encoding.
-    /// Returned oldest-first.
+    /// Grants commit to up to `width` instructions this cycle: the
+    /// candidates are the `completed`, valid, non-speculative entries whose
+    /// row ANDed with `SPEC` reduction-NORs to zero, and the `width` oldest
+    /// of them are selected with the bit count encoding
+    /// ([`AgeMatrix::select_oldest`]). Returned oldest-first.
     ///
     /// # Panics
     ///
     /// Panics if `completed.len()` differs from the capacity.
     #[must_use]
     pub fn commit_grants(&self, completed: &BitVec64, width: usize) -> Vec<usize> {
-        let mut candidates = BitVec64::new(self.capacity());
-        let mut out = Vec::new();
-        self.commit_grants_into(completed, width, &mut candidates, &mut out);
-        out
-    }
-
-    /// Allocation-free counterpart of [`CommitScheduler::commit_grants`]:
-    /// the candidate vector and grant list are caller-owned scratch buffers
-    /// (both cleared first, capacity reused).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `completed.len()` or `candidates.len()` differs from the
-    /// capacity.
-    pub fn commit_grants_into(
-        &self,
-        completed: &BitVec64,
-        width: usize,
-        candidates: &mut BitVec64,
-        out: &mut Vec<usize>,
-    ) {
-        assert_eq!(candidates.len(), self.capacity(), "candidate buffer length mismatch");
         assert_eq!(completed.len(), self.capacity(), "completed length mismatch");
-        candidates.clear_all();
-        // Word-parallel candidate scan: completed & VLD & !SPEC filters
-        // 64 entries per AND; only survivors pay the row reduction-NOR.
-        for (wi, (&cw, (&vw, &sw))) in completed
-            .words()
-            .iter()
-            .zip(self.age.valid().words().iter().zip(self.spec.words()))
-            .enumerate()
-        {
-            let mut m = cw & vw & !sw;
-            while m != 0 {
-                let slot = wi * 64 + m.trailing_zeros() as usize;
-                m &= m - 1;
-                if self.age.matrix().row_and_is_zero(slot, &self.spec) {
-                    candidates.set(slot);
-                }
-            }
-        }
-        self.age.select_oldest_into(candidates, width, out);
-    }
-
-    /// `true` if at least one completed entry would be granted commit this
-    /// cycle — equivalent to `!commit_grants(completed, 1).is_empty()` but
-    /// without allocating or ranking (the oldest candidate always has rank
-    /// zero, so any candidate implies a grant).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `completed.len()` differs from the capacity.
-    #[must_use]
-    pub fn any_commit_grant(&self, completed: &BitVec64) -> bool {
-        assert_eq!(completed.len(), self.capacity(), "completed length mismatch");
-        for (wi, (&cw, (&vw, &sw))) in completed
-            .words()
-            .iter()
-            .zip(self.age.valid().words().iter().zip(self.spec.words()))
-            .enumerate()
-        {
-            let mut m = cw & vw & !sw;
-            while m != 0 {
-                let slot = wi * 64 + m.trailing_zeros() as usize;
-                m &= m - 1;
-                if self.age.matrix().row_and_is_zero(slot, &self.spec) {
-                    return true;
-                }
-            }
-        }
-        false
+        let candidates = BitVec64::from_indices(
+            self.capacity(),
+            completed
+                .iter_ones_and(self.age.valid())
+                .filter(|&slot| !self.spec.get(slot) && self.globally_safe(slot)),
+        );
+        self.age.select_oldest(&candidates, width)
     }
 
     /// In-order commit grants for the IOC baseline: the `width` oldest
@@ -318,80 +259,13 @@ impl CommitScheduler {
     /// Panics if `completed.len()` differs from the capacity.
     #[must_use]
     pub fn commit_grants_in_order(&self, completed: &BitVec64, width: usize) -> Vec<usize> {
-        let mut grants = Vec::new();
-        self.commit_grants_in_order_into(completed, width, &mut grants);
-        grants
-    }
-
-    /// Allocation-free counterpart of
-    /// [`CommitScheduler::commit_grants_in_order`]: the `width` oldest
-    /// valid entries are rank-bucketed straight into the caller-owned `out`
-    /// (no materialised age order, no sort), then truncated at the first
-    /// entry that is not completed-and-safe.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `completed.len()` differs from the capacity.
-    pub fn commit_grants_in_order_into(
-        &self,
-        completed: &BitVec64,
-        width: usize,
-        out: &mut Vec<usize>,
-    ) {
         assert_eq!(completed.len(), self.capacity(), "completed length mismatch");
-        out.clear();
-        if width == 0 {
-            return;
-        }
-        let limit = width.min(self.capacity());
-        out.resize(limit, usize::MAX);
-        let mut found = 0usize;
-        let valid = self.age.valid();
-        for (wi, &vw) in valid.words().iter().enumerate() {
-            let mut m = vw;
-            while m != 0 {
-                let slot = wi * 64 + m.trailing_zeros() as usize;
-                m &= m - 1;
-                if let Some(rank) =
-                    self.age.matrix().row_and_rank_below(slot, valid, limit as u32)
-                {
-                    let rank = rank as usize;
-                    if out[rank] != usize::MAX {
-                        // Partial-order rank tie: fall back to the ordered
-                        // walk with its historical slot-index tie-break.
-                        out.clear();
-                        for s in self.age.valid_in_age_order().into_iter().take(limit) {
-                            if completed.get(s) && !self.spec.get(s) {
-                                out.push(s);
-                            } else {
-                                break;
-                            }
-                        }
-                        return;
-                    }
-                    out[rank] = slot;
-                    found += 1;
-                }
-            }
-        }
-        out.truncate(found);
-        let stop = out
-            .iter()
-            .position(|&s| !completed.get(s) || self.spec.get(s))
-            .unwrap_or(out.len());
-        out.truncate(stop);
-        #[cfg(debug_assertions)]
-        {
-            let mut reference = Vec::new();
-            for s in self.age.valid_in_age_order().into_iter().take(limit) {
-                if completed.get(s) && !self.spec.get(s) {
-                    reference.push(s);
-                } else {
-                    break;
-                }
-            }
-            assert_eq!(*out, reference, "in-order grant bucketing diverged from age order");
-        }
+        self.age
+            .valid_in_age_order()
+            .into_iter()
+            .take(width)
+            .take_while(|&slot| completed.get(slot) && !self.spec.get(slot))
+            .collect()
     }
 
     /// When nothing can commit, the head of the machine is the oldest

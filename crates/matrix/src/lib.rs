@@ -25,7 +25,20 @@
 //!
 //! The physical PIM implementation of these matrices (8T SRAM bit-line
 //! computing) is modelled separately in the `orinoco-circuit` crate; here
-//! every operation is an exact functional model of what the arrays compute.
+//! every operation is an exact functional model of what the arrays
+//! compute, written once as the paper's scalar definition.
+//!
+//! # Who runs what
+//!
+//! * The pipeline (`orinoco-core`) runs [`MemDisambigMatrix`],
+//!   [`LockdownMatrix`] and [`LockdownTable`] every cycle.
+//! * [`AgeMatrix`] and [`CommitScheduler`] are oracles: the core keeps
+//!   program order in a linked list (ROB) and a `(!critical, seq)` key
+//!   (IQ), and its order checks rebuild these matrices from the live
+//!   entries to confirm both.
+//! * [`CommitDepMatrix`], [`WakeupMatrix`] and [`BankAllocator`] are
+//!   standalone models of the paper's designs, checked by this crate's
+//!   tests; no simulated path uses them.
 //!
 //! # Example: ordered issue out of a random queue
 //!
@@ -63,7 +76,7 @@ mod wakeup;
 
 pub use age::AgeMatrix;
 pub use bank::BankAllocator;
-pub use bitvec::{BitVec64, IterOnes, IterOnesAnd, IterOnesRev};
+pub use bitvec::{BitVec64, IterOnes, IterOnesAnd};
 pub use commit::{CommitDepMatrix, CommitScheduler};
 pub use lockdown::{LockdownMatrix, LockdownTable};
 pub use matrix::BitMatrix;

@@ -340,88 +340,6 @@ impl BitMatrix {
             .sum()
     }
 
-    /// Popcount of `row & mask`, reported only when it is **below**
-    /// `limit`: the early-exiting form of [`BitMatrix::row_and_count`] used
-    /// by the word-parallel select paths, where most entries exceed the
-    /// issue width within the first word or two and the rest of the row
-    /// need not be read.
-    ///
-    /// Returns `Some(rank)` iff `row_and_count(row, mask) < limit`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of bounds or `mask.len() != cols`.
-    #[inline]
-    #[must_use]
-    pub fn row_and_rank_below(&self, row: usize, mask: &BitVec64, limit: u32) -> Option<u32> {
-        assert_eq!(mask.len(), self.cols, "mask width mismatch");
-        let range = self.row_range(row);
-        let mut rank = 0u32;
-        for (w, m) in self.words[range].iter().zip(mask.words()) {
-            rank += (w & m).count_ones();
-            if rank >= limit {
-                return None;
-            }
-        }
-        // `rank >= limit` always bails inside the loop, so a zero-word row
-        // (cols == 0) must still honour limit == 0 here.
-        (rank < limit).then_some(rank)
-    }
-
-    /// Popcount of `row & a & b`, reported only when below `limit` — the
-    /// three-way form of [`BitMatrix::row_and_rank_below`], ranking against
-    /// `request & valid` without materialising the AND.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of bounds or either mask has a length other
-    /// than `cols`.
-    #[inline]
-    #[must_use]
-    pub fn row_and2_rank_below(
-        &self,
-        row: usize,
-        a: &BitVec64,
-        b: &BitVec64,
-        limit: u32,
-    ) -> Option<u32> {
-        assert_eq!(a.len(), self.cols, "mask width mismatch");
-        assert_eq!(b.len(), self.cols, "mask width mismatch");
-        let range = self.row_range(row);
-        let mut rank = 0u32;
-        for (w, (x, y)) in self.words[range].iter().zip(a.words().iter().zip(b.words())) {
-            rank += (w & x & y).count_ones();
-            if rank >= limit {
-                return None;
-            }
-        }
-        (rank < limit).then_some(rank)
-    }
-
-    /// Column index of the lowest set bit of `row & a & b`, or `None` if
-    /// the intersection is empty — one `trailing_zeros` per 64 columns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of bounds or either mask has a length other
-    /// than `cols`.
-    #[inline]
-    #[must_use]
-    pub fn row_first_one_and2(&self, row: usize, a: &BitVec64, b: &BitVec64) -> Option<usize> {
-        assert_eq!(a.len(), self.cols, "mask width mismatch");
-        assert_eq!(b.len(), self.cols, "mask width mismatch");
-        let range = self.row_range(row);
-        for (wi, (w, (x, y))) in
-            self.words[range].iter().zip(a.words().iter().zip(b.words())).enumerate()
-        {
-            let v = w & x & y;
-            if v != 0 {
-                return Some(wi * 64 + v.trailing_zeros() as usize);
-            }
-        }
-        None
-    }
-
     /// `true` if `row & a & b` has no set bit, without materialising
     /// `a & b`.
     ///
@@ -592,36 +510,6 @@ mod tests {
         assert!(m.row_and_is_zero(1, &mask));
         let empty = BitVec64::new(128);
         assert!(m.row_and_is_zero(0, &empty));
-    }
-
-    #[test]
-    fn rank_below_early_exits_consistently() {
-        let mut m = BitMatrix::new(2, 128);
-        for c in [0, 1, 2, 63, 64, 100] {
-            m.set(0, c);
-        }
-        let mask = BitVec64::ones(128);
-        assert_eq!(m.row_and_rank_below(0, &mask, 7), Some(6));
-        assert_eq!(m.row_and_rank_below(0, &mask, 6), None);
-        assert_eq!(m.row_and_rank_below(0, &mask, 0), None);
-        assert_eq!(m.row_and_rank_below(1, &mask, 1), Some(0));
-        assert_eq!(m.row_and_rank_below(1, &mask, 0), None);
-        let narrow = BitVec64::from_indices(128, [63, 64]);
-        assert_eq!(m.row_and2_rank_below(0, &mask, &narrow, 4), Some(2));
-        assert_eq!(m.row_and2_rank_below(0, &mask, &narrow, 2), None);
-    }
-
-    #[test]
-    fn row_first_one_and2_scans_words() {
-        let mut m = BitMatrix::new(1, 130);
-        m.set(0, 65);
-        m.set(0, 129);
-        let all = BitVec64::ones(130);
-        assert_eq!(m.row_first_one_and2(0, &all, &all), Some(65));
-        let hi = BitVec64::from_indices(130, [129]);
-        assert_eq!(m.row_first_one_and2(0, &all, &hi), Some(129));
-        let none = BitVec64::new(130);
-        assert_eq!(m.row_first_one_and2(0, &all, &none), None);
     }
 
     #[test]

@@ -11,115 +11,174 @@ use orinoco_matrix::{
 };
 use orinoco_util::{prop, Rng};
 
-const N: usize = 48;
+/// Capacities of the sequence-number properties: 48 entries, the word
+/// boundaries 63/64/65 and the two-word 128, where tail-masking and
+/// word-straddling bugs live.
+const CAPS: [usize; 5] = [48, 63, 64, 65, 128];
 
-/// Oracle: slot -> sequence number of the instruction occupying it.
-#[derive(Default, Clone)]
+/// Oracle: slot -> sequence number of the instruction occupying it, plus
+/// its `SPEC` bit.
 struct Oracle {
     seq: Vec<Option<u64>>,
+    spec: Vec<bool>,
     next: u64,
 }
 
 impl Oracle {
     fn new(n: usize) -> Self {
-        Self { seq: vec![None; n], next: 0 }
+        Self { seq: vec![None; n], spec: vec![false; n], next: 0 }
     }
-    fn dispatch(&mut self, slot: usize) {
-        assert!(self.seq[slot].is_none());
+    fn live(&self, slot: usize) -> bool {
+        self.seq[slot].is_some()
+    }
+    fn dispatch(&mut self, slot: usize, speculative: bool) {
+        assert!(!self.live(slot));
         self.seq[slot] = Some(self.next);
+        self.spec[slot] = speculative;
         self.next += 1;
     }
     fn free(&mut self, slot: usize) {
-        assert!(self.seq[slot].is_some());
+        assert!(self.live(slot));
         self.seq[slot] = None;
+        self.spec[slot] = false;
     }
-    /// The `width` oldest among `request`, oldest first.
-    fn oldest(&self, request: &[usize], width: usize) -> Vec<usize> {
-        let mut v: Vec<(u64, usize)> = request
-            .iter()
-            .filter_map(|&s| self.seq[s].map(|q| (q, s)))
-            .collect();
+    /// Live slots in age (dispatch) order, oldest first.
+    fn age_order(&self) -> Vec<usize> {
+        let mut v: Vec<(u64, usize)> =
+            self.seq.iter().enumerate().filter_map(|(s, q)| q.map(|q| (q, s))).collect();
         v.sort_unstable();
-        v.truncate(width);
         v.into_iter().map(|(_, s)| s).collect()
     }
+    /// The `width` oldest live entries among `request`, oldest first.
+    fn oldest(&self, request: &BitVec64, width: usize) -> Vec<usize> {
+        self.age_order().into_iter().filter(|&s| request.get(s)).take(width).collect()
+    }
 }
 
-/// A random interleaving of dispatches and frees that keeps occupancy legal.
-fn random_ops(rng: &mut Rng) -> Vec<(bool, usize)> {
-    let len = rng.gen_range(1..200usize);
-    (0..len).map(|_| (rng.gen::<bool>(), rng.gen_range(0..N))).collect()
-}
-
-fn apply_ops(ops: &[(bool, usize)]) -> (AgeMatrix, Oracle) {
-    let mut age = AgeMatrix::new(N);
-    let mut oracle = Oracle::new(N);
-    for &(dispatch, slot) in ops {
-        if dispatch {
-            if !age.is_valid(slot) {
-                age.dispatch(slot);
-                oracle.dispatch(slot);
+/// Drives a commit scheduler (and with it its age matrix) and the oracle
+/// through a random history of `n`-entry ROB events: dispatches (each
+/// speculative or not), unordered frees, safety resolutions, and squashes
+/// that free every live entry younger than a random survivor — the
+/// wrong-path flush shape that fragments the valid set across words.
+fn random_history(rng: &mut Rng, n: usize) -> (CommitScheduler, Oracle) {
+    let mut rob = CommitScheduler::new(n);
+    let mut oracle = Oracle::new(n);
+    for _ in 0..rng.gen_range(1..3 * n) {
+        let slot = rng.gen_range(0..n);
+        match rng.gen_range(0..10u32) {
+            0..=4 => {
+                if !oracle.live(slot) {
+                    let speculative = rng.gen::<bool>();
+                    rob.dispatch(slot, speculative);
+                    oracle.dispatch(slot, speculative);
+                }
             }
-        } else if age.is_valid(slot) {
-            age.free(slot);
-            oracle.free(slot);
+            5..=6 => {
+                if oracle.live(slot) {
+                    rob.free(slot);
+                    oracle.free(slot);
+                }
+            }
+            7..=8 => {
+                if oracle.live(slot) && oracle.spec[slot] {
+                    rob.mark_safe(slot);
+                    oracle.spec[slot] = false;
+                }
+            }
+            _ => {
+                let live = oracle.age_order();
+                if live.is_empty() {
+                    continue;
+                }
+                let pivot = oracle.seq[live[rng.gen_range(0..live.len())]].unwrap();
+                for s in 0..n {
+                    if oracle.seq[s].is_some_and(|q| q > pivot) {
+                        rob.free(s);
+                        oracle.free(s);
+                    }
+                }
+            }
         }
     }
-    (age, oracle)
+    (rob, oracle)
 }
 
-/// Random request set over `0..N` as (sorted dedup'd slots, bit vector).
-fn random_request(rng: &mut Rng) -> (Vec<usize>, BitVec64) {
-    let len = rng.gen_range(0..N);
-    let mut req_slots: Vec<usize> = (0..len).map(|_| rng.gen_range(0..N)).collect();
-    req_slots.sort_unstable();
-    req_slots.dedup();
-    let req = BitVec64::from_indices(N, req_slots.iter().copied());
-    (req_slots, req)
+/// A random request vector over `0..n`, live or not, at a random density
+/// from empty to full.
+fn random_request(rng: &mut Rng, n: usize) -> BitVec64 {
+    let density = rng.gen_range(0..5u32);
+    BitVec64::from_indices(n, (0..n).filter(|_| rng.gen_range(0..4u32) < density))
+}
+
+/// A random select width: usually a few entries, sometimes the whole
+/// queue (as the issue-queue oracle asks) or more.
+fn random_width(rng: &mut Rng, n: usize) -> usize {
+    if rng.gen_range(0..4u32) == 0 {
+        n + rng.gen_range(0..2usize)
+    } else {
+        rng.gen_range(0..10usize)
+    }
 }
 
 /// The bit count encoding grants exactly the `width` oldest requesting
 /// valid entries, in age order, for any allocation history and any
-/// request set.
+/// request set; `grant_mask` is the same set and `select_single_oldest`
+/// the oldest of it.
 #[test]
 fn select_oldest_matches_oracle() {
     prop::check("select_oldest_matches_oracle", 0xA9E1, |rng| {
-        let (age, oracle) = apply_ops(&random_ops(rng));
-        let (req_slots, req) = random_request(rng);
-        let width = rng.gen_range(0..10usize);
-        let got = age.select_oldest(&req, width);
-        let want = oracle.oldest(&req_slots, width);
-        assert_eq!(got, want);
+        for n in CAPS {
+            let (rob, oracle) = random_history(rng, n);
+            let age = rob.age();
+            let req = random_request(rng, n);
+            let width = random_width(rng, n);
+            let want = oracle.oldest(&req, width);
+            assert_eq!(age.select_oldest(&req, width), want, "n={n} width={width}");
+            let mut sorted = want.clone();
+            sorted.sort_unstable();
+            assert_eq!(
+                age.grant_mask(&req, width).iter_ones().collect::<Vec<_>>(),
+                sorted,
+                "n={n} width={width}"
+            );
+            assert_eq!(
+                age.select_single_oldest(&req),
+                oracle.oldest(&req, 1).first().copied(),
+                "n={n}"
+            );
+        }
     });
 }
 
 /// `select_oldest` equals a *naive O(n²)* reference computed purely from
 /// pairwise `is_older` comparisons — no sequence numbers involved — for
-/// random dispatch/free/mask sequences. (Checks the bit-count encoding
+/// random dispatch/free/squash sequences. (Checks the bit-count encoding
 /// against the matrix's own transitive order, independently of the
 /// timestamp oracle above.)
 #[test]
 fn select_oldest_matches_naive_pairwise_reference() {
     prop::check("select_oldest_naive_reference", 0xA9E2, |rng| {
-        let (age, _) = apply_ops(&random_ops(rng));
-        let (req_slots, req) = random_request(rng);
-        let width = rng.gen_range(0..10usize);
-        // Naive O(n²): a requesting valid entry is granted iff fewer than
-        // `width` requesting valid entries are older than it; grants are
-        // ordered by their count of older requesters.
-        let live: Vec<usize> =
-            req_slots.iter().copied().filter(|&s| age.is_valid(s)).collect();
-        let mut ranked: Vec<(usize, usize)> = live
-            .iter()
-            .map(|&s| {
-                let older = live.iter().filter(|&&o| o != s && age.is_older(o, s)).count();
-                (older, s)
-            })
-            .filter(|&(older, _)| older < width)
-            .collect();
-        ranked.sort_unstable();
-        let want: Vec<usize> = ranked.into_iter().map(|(_, s)| s).collect();
-        assert_eq!(age.select_oldest(&req, width), want);
+        for n in CAPS {
+            let (rob, _) = random_history(rng, n);
+            let age = rob.age();
+            let req = random_request(rng, n);
+            let width = random_width(rng, n);
+            // Naive O(n²): a requesting valid entry is granted iff fewer
+            // than `width` requesting valid entries are older than it;
+            // grants are ordered by their count of older requesters.
+            let live: Vec<usize> = req.iter_ones().filter(|&s| age.is_valid(s)).collect();
+            let mut ranked: Vec<(usize, usize)> = live
+                .iter()
+                .map(|&s| {
+                    let older = live.iter().filter(|&&o| o != s && age.is_older(o, s)).count();
+                    (older, s)
+                })
+                .filter(|&(older, _)| older < width)
+                .collect();
+            ranked.sort_unstable();
+            let want: Vec<usize> = ranked.into_iter().map(|(_, s)| s).collect();
+            assert_eq!(age.select_oldest(&req, width), want, "n={n} width={width}");
+        }
     });
 }
 
@@ -127,11 +186,13 @@ fn select_oldest_matches_naive_pairwise_reference() {
 #[test]
 fn single_oldest_is_first_grant() {
     prop::check("single_oldest_is_first_grant", 0xA9E3, |rng| {
-        let (age, _) = apply_ops(&random_ops(rng));
-        let (_, req) = random_request(rng);
-        let single = age.select_single_oldest(&req);
-        let multi = age.select_oldest(&req, 1);
-        assert_eq!(single, multi.first().copied());
+        for n in CAPS {
+            let (rob, _) = random_history(rng, n);
+            let req = random_request(rng, n);
+            let single = rob.age().select_single_oldest(&req);
+            let multi = rob.age().select_oldest(&req, 1);
+            assert_eq!(single, multi.first().copied(), "n={n}");
+        }
     });
 }
 
@@ -140,10 +201,12 @@ fn single_oldest_is_first_grant() {
 #[test]
 fn oldest_valid_matches_oracle() {
     prop::check("oldest_valid_matches_oracle", 0xA9E4, |rng| {
-        let (age, oracle) = apply_ops(&random_ops(rng));
-        let all: Vec<usize> = (0..N).collect();
-        let want = oracle.oldest(&all, 1).first().copied();
-        assert_eq!(age.oldest_valid(), want);
+        for n in CAPS {
+            let (rob, oracle) = random_history(rng, n);
+            let want = oracle.age_order().first().copied();
+            assert_eq!(rob.age().oldest_valid(), want, "n={n}");
+            assert_eq!(rob.oldest_blocking(), want, "n={n}");
+        }
     });
 }
 
@@ -152,17 +215,15 @@ fn oldest_valid_matches_oracle() {
 #[test]
 fn younger_than_matches_oracle() {
     prop::check("younger_than_matches_oracle", 0xA9E5, |rng| {
-        let (age, oracle) = apply_ops(&random_ops(rng));
-        for s in 0..N {
-            if !age.is_valid(s) {
-                continue;
+        for n in CAPS {
+            let (rob, oracle) = random_history(rng, n);
+            for s in (0..n).filter(|&s| oracle.live(s)) {
+                let sq = oracle.seq[s].unwrap();
+                let want: Vec<usize> =
+                    (0..n).filter(|&t| oracle.seq[t].is_some_and(|q| q > sq)).collect();
+                let got: Vec<usize> = rob.younger_than(s).iter_ones().collect();
+                assert_eq!(got, want, "n={n} slot={s}");
             }
-            let sq = oracle.seq[s].unwrap();
-            let want: Vec<usize> = (0..N)
-                .filter(|&t| oracle.seq[t].is_some_and(|q| q > sq))
-                .collect();
-            let got: Vec<usize> = age.younger_than(s).iter_ones().collect();
-            assert_eq!(got, want);
         }
     });
 }
@@ -171,16 +232,58 @@ fn younger_than_matches_oracle() {
 #[test]
 fn pairwise_order_matches_oracle() {
     prop::check("pairwise_order_matches_oracle", 0xA9E6, |rng| {
-        let (age, oracle) = apply_ops(&random_ops(rng));
-        let live: Vec<usize> = (0..N).filter(|&s| age.is_valid(s)).collect();
-        for &a in &live {
-            for &b in &live {
-                if a == b {
-                    continue;
+        for n in CAPS {
+            let (rob, oracle) = random_history(rng, n);
+            let live = oracle.age_order();
+            for &a in &live {
+                for &b in &live {
+                    if a == b {
+                        continue;
+                    }
+                    let want = oracle.seq[a].unwrap() < oracle.seq[b].unwrap();
+                    assert_eq!(rob.age().is_older(a, b), want, "n={n} a={a} b={b}");
                 }
-                let want = oracle.seq[a].unwrap() < oracle.seq[b].unwrap();
-                assert_eq!(age.is_older(a, b), want, "a={a} b={b}");
             }
+        }
+    });
+}
+
+/// Commit grants equal the sequence-number model under random
+/// speculation, resolution, completion and squash histories:
+/// `commit_grants` takes the `width` oldest live entries that are
+/// completed, not speculative and have no older live speculative entry;
+/// `commit_grants_in_order` takes the `width` oldest live entries and
+/// stops at the first that is not completed-and-safe. Completion bits of
+/// empty slots must be ignored.
+#[test]
+fn commit_grants_match_oracle() {
+    prop::check("commit_grants_match_oracle", 0xA9F0, |rng| {
+        for n in CAPS {
+            let (rob, oracle) = random_history(rng, n);
+            let comp = random_request(rng, n);
+            let width = random_width(rng, n);
+            let order = oracle.age_order();
+            let want: Vec<usize> = order
+                .iter()
+                .enumerate()
+                .filter(|&(i, &s)| {
+                    comp.get(s) && !oracle.spec[s] && order[..i].iter().all(|&o| !oracle.spec[o])
+                })
+                .map(|(_, &s)| s)
+                .take(width)
+                .collect();
+            assert_eq!(rob.commit_grants(&comp, width), want, "n={n} width={width}");
+            let want_ioc: Vec<usize> = order
+                .iter()
+                .copied()
+                .take(width)
+                .take_while(|&s| comp.get(s) && !oracle.spec[s])
+                .collect();
+            assert_eq!(
+                rob.commit_grants_in_order(&comp, width),
+                want_ioc,
+                "n={n} width={width}"
+            );
         }
     });
 }
@@ -480,70 +583,6 @@ fn lockdown_table_refcount_oracle() {
         }
         let total_live: usize = live.values().map(|&v| v as usize).sum();
         assert_eq!(ldt.active(), total_live);
-    });
-}
-
-/// The scratch-buffer (`*_into`) selection API is equivalent to the
-/// allocating one for any history, request set and width — including when
-/// the output buffer arrives dirty from a previous, larger selection.
-#[test]
-fn select_oldest_into_equals_allocating() {
-    prop::check("select_oldest_into_equals_allocating", 0xA9F0, |rng| {
-        let (age, _) = apply_ops(&random_ops(rng));
-        let mut out = vec![usize::MAX; rng.gen_range(0..8usize)]; // dirty
-        for width in 0..6 {
-            let (_, req) = random_request(rng);
-            age.select_oldest_into(&req, width, &mut out);
-            assert_eq!(out, age.select_oldest(&req, width));
-        }
-    });
-}
-
-/// `younger_than_into` is equivalent to `younger_than`, reusing a dirty
-/// output vector of the right length.
-#[test]
-fn younger_than_into_equals_allocating() {
-    prop::check("younger_than_into_equals_allocating", 0xA9F1, |rng| {
-        let (age, _) = apply_ops(&random_ops(rng));
-        let mut out = BitVec64::ones(N); // dirty
-        for s in 0..N {
-            if age.is_valid(s) {
-                age.younger_than_into(s, &mut out);
-                assert_eq!(
-                    out.iter_ones().collect::<Vec<_>>(),
-                    age.younger_than(s).iter_ones().collect::<Vec<_>>(),
-                    "slot {s}"
-                );
-            }
-        }
-    });
-}
-
-/// The scratch commit-grant API (`commit_grants_into`) and the cheap
-/// stall probe (`any_commit_grant`) are equivalent to `commit_grants`
-/// for random dispatch/safety/completion states.
-#[test]
-fn commit_grants_into_equals_allocating() {
-    prop::check("commit_grants_into_equals_allocating", 0xA9F2, |rng| {
-        let n = 32;
-        let live = rng.gen_range(1..n);
-        let mut rob = CommitScheduler::new(n);
-        for slot in 0..live {
-            rob.dispatch(slot, rng.gen::<bool>());
-        }
-        for slot in 0..live {
-            if rob.is_speculative(slot) && rng.gen::<bool>() {
-                rob.mark_safe(slot);
-            }
-        }
-        let comp = BitVec64::from_indices(n, (0..live).filter(|_| rng.gen::<bool>()));
-        let width = rng.gen_range(1..8usize);
-        let want = rob.commit_grants(&comp, width);
-        let mut candidates = BitVec64::ones(n); // dirty
-        let mut out = vec![usize::MAX; 3]; // dirty
-        rob.commit_grants_into(&comp, width, &mut candidates, &mut out);
-        assert_eq!(out, want);
-        assert_eq!(rob.any_commit_grant(&comp), !rob.commit_grants(&comp, 1).is_empty());
     });
 }
 

@@ -13,10 +13,11 @@
 //!
 //! The same canonical encoding doubles as the cache identity: a job's
 //! cache key is the FNV-128 of its [`JobSpec`] encoding with the
-//! result-invariant fields (`SimSpec::progress_cycles`,
-//! `SampleSpec::threads`) zeroed — see [`JobSpec::cache_key`]. Two specs
-//! collide only if their canonical encodings are byte-identical, which
-//! the cache-determinism property test exploits directly.
+//! result-invariant fields (`SimSpec::progress_cycles`, and
+//! `SampleSpec::threads` up to its ceiling) zeroed — see
+//! [`JobSpec::cache_key`]. Two specs collide only if their canonical
+//! encodings are byte-identical, which the cache-determinism property
+//! test exploits directly.
 
 use orinoco_core::{
     CommitKind, CoreConfig, SampleConfig, SchedulerKind, DEFAULT_JITTER_SEED,
@@ -424,10 +425,11 @@ pub struct SampleSpec {
     pub max_intervals: u64,
     /// Phase clusters (BBV k-means); 0 = sample every stratum.
     pub phases: u64,
-    /// Worker threads for the detailed intervals; 0 = auto. The sampled
-    /// result is byte-identical at any thread count, so like
-    /// `progress_cycles` this is zeroed out of the cache key — it changes
-    /// wall-clock time, never the answer.
+    /// Worker threads for the detailed intervals; 0 = auto, at most
+    /// [`SampleConfig::MAX_THREADS`]. The sampled result is
+    /// byte-identical at any accepted thread count, so like
+    /// `progress_cycles` an accepted count is zeroed out of the cache key
+    /// — it changes wall-clock time, never the answer.
     pub threads: u64,
 }
 
@@ -467,7 +469,7 @@ impl SampleSpec {
             jitter_seed: Some(DEFAULT_JITTER_SEED),
             wrong_path_depth: None,
             warm_horizon: (self.warm_horizon > 0).then_some(self.warm_horizon),
-            threads: self.threads as usize,
+            threads: usize::try_from(self.threads).unwrap_or(usize::MAX),
             phases: (self.phases > 0).then_some(self.phases as usize),
             chaos_panic_interval: None,
         }
@@ -592,18 +594,20 @@ impl JobSpec {
     /// The canonical 128-bit cache identity of this job: FNV-128 (two
     /// independent FNV-1a streams) over the canonical encoding with
     /// result-invariant fields zeroed (`progress_cycles` is presentation
-    /// only; `threads` changes wall-clock time, never the byte-identical
-    /// sampled result). Distinct specs collide only if their canonical
-    /// encodings are byte-identical — i.e. never, since the encoding is
-    /// injective over the spec fields (fixed-width, no varints, closed
-    /// tag sets).
+    /// only; a `threads` count the sampler accepts changes wall-clock
+    /// time, never the byte-identical sampled result — one above
+    /// [`SampleConfig::MAX_THREADS`] fails, so it keeps its own key and
+    /// never shares an outcome with a valid twin). Distinct specs collide
+    /// only if their canonical encodings are byte-identical — i.e. never,
+    /// since the encoding is injective over the spec fields (fixed-width,
+    /// no varints, closed tag sets).
     #[must_use]
     pub fn cache_key(&self) -> u128 {
         let mut canon = *self;
         match &mut canon {
             JobSpec::Sim(s) => s.progress_cycles = 0,
-            JobSpec::Sample(s) => s.threads = 0,
-            JobSpec::VerifChunk(_) | JobSpec::FfeqChunk(_) => {}
+            JobSpec::Sample(s) if s.threads <= SampleConfig::MAX_THREADS as u64 => s.threads = 0,
+            JobSpec::Sample(_) | JobSpec::VerifChunk(_) | JobSpec::FfeqChunk(_) => {}
         }
         let bytes = canon.encode();
         let lo = fnv64_from(FNV_OFFSET, &bytes);

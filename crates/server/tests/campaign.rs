@@ -4,10 +4,10 @@
 //! deterministic seed-order merge, now across server queues.
 
 use orinoco_server::{
-    run_one_shot, ChunkSpec, ConfigSpec, JobResult, JobSpec, Request, Response, Server, SimSpec,
-    TcpClient, TcpFront,
+    run_one_shot, ChunkSpec, ConfigSpec, JobResult, JobSpec, Request, Response, SampleSpec,
+    Server, SimSpec, TcpClient, TcpFront,
 };
-use orinoco_core::{CommitKind, SchedulerKind};
+use orinoco_core::{CommitKind, SampleConfig, SchedulerKind};
 use orinoco_verif::{ff_equivalence_campaign, fuzz_campaign, CampaignChunk, FfEqChunk};
 use orinoco_workloads::Workload;
 
@@ -257,6 +257,58 @@ fn invalid_core_config_fails_politely_over_tcp() {
     assert_eq!(server.job_panics(), 0, "a bad spec must not unwind a worker");
     let r = run(good).expect("valid job after the failure");
     assert_eq!(r, run_one_shot(&good).expect("reference"));
+    assert_eq!(server.job_panics(), 0);
+    tcp.send(&Request::Bye).ok();
+    front.stop();
+}
+
+/// A `Sample` job asking for more worker threads than
+/// `SampleConfig::MAX_THREADS` is refused by validation before the
+/// sampler starts any thread: the job gets `Failed`, no worker unwinds,
+/// and the connection's next job still equals its one-shot. The thread
+/// count is outside the cache key, so a serial twin of the same job runs
+/// first: the oversized jobs must not be answered with its cached result.
+/// Only the twin starts a sampler thread (one); every oversized count is
+/// one validation refuses.
+#[test]
+fn oversized_sample_thread_count_fails_politely_over_tcp() {
+    let server = Server::new(1);
+    let front = TcpFront::spawn(&server, "127.0.0.1:0").expect("bind");
+    let mut tcp = TcpClient::connect(front.addr()).expect("connect");
+    let mut run = |spec: JobSpec| {
+        tcp.send(&Request::Submit { queue: 1, spec }).expect("submit");
+        loop {
+            match tcp.recv().expect("recv").expect("open") {
+                Response::Done { result, .. } => return Ok(result),
+                Response::Failed { reason, .. } => return Err(reason),
+                _ => {}
+            }
+        }
+    };
+    let twin = SampleSpec {
+        workload: Workload::ExchangeLike,
+        seed: 7,
+        warmup_insts: 500,
+        detail_insts: 2_000,
+        period_insts: 10_000,
+        threads: 1,
+        ..SampleSpec::orinoco_base(Workload::ExchangeLike)
+    };
+    run(JobSpec::Sample(twin)).expect("serial twin");
+    let ceiling = SampleConfig::MAX_THREADS as u64;
+    for threads in [ceiling + 1, u64::MAX] {
+        let spec = SampleSpec { threads, ..twin };
+        let reason = run(JobSpec::Sample(spec)).expect_err("oversized thread count must fail");
+        assert!(reason.contains("threads"), "unhelpful reason: {reason}");
+        assert_eq!(
+            server.job_panics(),
+            0,
+            "a bad spec must not unwind a worker"
+        );
+    }
+    let good = sweep_grid()[0];
+    let r = run(JobSpec::Sim(good)).expect("valid job after the failures");
+    assert_eq!(r, JobResult::Sim(run_one_shot(&good).expect("reference")));
     assert_eq!(server.job_panics(), 0);
     tcp.send(&Request::Bye).ok();
     front.stop();

@@ -4,7 +4,7 @@
 //! error, every bit flip is detected, trailing bytes are rejected, and
 //! unknown tags never panic.
 
-use orinoco_core::{CommitKind, SchedulerKind};
+use orinoco_core::{CommitKind, SampleConfig, SchedulerKind};
 use orinoco_server::protocol::{decode_frame, encode_frame, MAX_FRAME_LEN};
 use orinoco_server::{
     ChunkSpec, ConfigSpec, JobResult, JobSpec, Preset, Request, Response, SampleSpec,
@@ -159,12 +159,16 @@ fn arb_response(rng: &mut Rng) -> Response {
 fn sample_threads_is_not_part_of_the_cache_key() {
     // Thread count only changes wall-clock time (the sampled result is
     // byte-identical at any count), so it must not fragment the cache —
-    // while every result-bearing field must.
+    // while every result-bearing field must, and so must a count above
+    // the ceiling, whose job fails where its valid twin succeeds.
     forall("sample-key-threads", 0x5A4B, 500, |rng| {
         let mut spec = arb_sample_spec(rng);
         let key = JobSpec::Sample(spec).cache_key();
         spec.threads = rng.gen_range(0..32u64);
         assert_eq!(JobSpec::Sample(spec).cache_key(), key, "threads fragmented the key");
+        spec.threads = SampleConfig::MAX_THREADS as u64 + 1 + rng.gen_range(0..4u64);
+        assert_ne!(JobSpec::Sample(spec).cache_key(), key, "oversized threads share the key");
+        spec.threads = 0;
         spec.seed ^= 1;
         assert_ne!(JobSpec::Sample(spec).cache_key(), key, "seed missing from the key");
     });

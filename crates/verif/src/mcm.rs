@@ -26,7 +26,7 @@
 //! programs (2–4 cores hammering 2–4 shared variables, with false-sharing
 //! layouts, fences and dependency-chain delays), and proves the checker
 //! load-bearing in the same run: [`injection_probe`] silently drops a
-//! coherence invalidation ([`CohConfig::drop_invalidation`]) in a
+//! coherence invalidation ([`orinoco_mem::CohConfig::drop_invalidation`]) in a
 //! message-passing scenario and requires the resulting stale read to
 //! surface as a TSO cycle.
 

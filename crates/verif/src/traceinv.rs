@@ -58,7 +58,7 @@ pub struct TraceCheck {
     /// Commits of speculatively dispatched instructions (each must carry
     /// a prior commit-eligible event).
     pub speculative_commits: u64,
-    /// Invariant violations, capped at [`MAX_VIOLATIONS`].
+    /// Invariant violations, capped at the first 32.
     pub violations: Vec<String>,
 }
 
