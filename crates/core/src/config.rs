@@ -2,7 +2,6 @@
 //! the issue-queue scheduler variants of §6.2 (Figure 14) and the commit
 //! policy variants of §6.2 (Figure 15).
 
-use orinoco_frontend::PredictorKind;
 use orinoco_isa::InstClass;
 use orinoco_mem::MemConfig;
 
@@ -259,19 +258,11 @@ pub struct CoreConfig {
     /// at the cost of capacity efficiency"). The unified capacity is
     /// split 40/10/20/30 across Int/MulDiv/Fp/Mem.
     pub split_iq: bool,
-    /// Branch direction predictor.
-    pub predictor: PredictorKind,
     /// Memory system.
     pub mem: MemConfig,
-    /// Extra front-end redirect penalty after a squash, in cycles.
-    pub redirect_penalty: u64,
-    /// Front-end depth: cycles between fetch and earliest dispatch.
-    pub frontend_depth: u64,
     /// Page faults injected per million memory operations (exercises the
     /// precise-exception path; 0 disables).
     pub pagefault_per_million: u32,
-    /// Cycles charged for a page-fault handler.
-    pub pagefault_penalty: u64,
     /// RNG seed for deterministic wrong-path synthesis and fault
     /// injection.
     pub seed: u64,
@@ -306,12 +297,8 @@ impl CoreConfig {
             commit_depth: None,
             banked_dispatch: false,
             split_iq: false,
-            predictor: PredictorKind::Tage,
             mem: MemConfig::default(),
-            redirect_penalty: 5,
-            frontend_depth: 5,
             pagefault_per_million: 0,
-            pagefault_penalty: 300,
             seed: 0xC0FFEE,
             fast_forward: true,
         }

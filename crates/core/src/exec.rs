@@ -362,12 +362,7 @@ mod tests {
     #[test]
     fn wheel_matches_heap_reference() {
         let mut rng = 0x0E11_AB1E_CAFE_D00Du64;
-        let mut next = move || {
-            rng ^= rng >> 12;
-            rng ^= rng << 25;
-            rng ^= rng >> 27;
-            rng.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        };
+        let mut next = move || orinoco_util::xorshift64star(&mut rng);
         let mut wheel = EventQueue::new();
         let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
         let mut now = 0u64;

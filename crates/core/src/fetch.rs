@@ -11,9 +11,10 @@
 //! (exceptions, replay traps) are re-injected through a push-back stack.
 
 use crate::config::CoreConfig;
-use orinoco_frontend::{Btb, DirectionPredictor, ReturnAddressStack};
+use orinoco_frontend::{Btb, DirectionPredictor, ReturnAddressStack, Tage};
 use orinoco_isa::{ArchReg, DynInst, Emulator, HaltReason, InstClass, Opcode};
 use orinoco_trace::ReplayStream;
+use orinoco_util::xorshift64star;
 
 /// Sequence-number base for wrong-path instructions: larger than any
 /// correct-path sequence, so age comparisons remain sound.
@@ -94,49 +95,59 @@ impl From<ReplayStream> for FetchSource {
     }
 }
 
-/// Warmed frontend predictor state — direction predictor, BTB and return
-/// address stack — captured by [`FetchUnit::warm_snapshot`] and reapplied
-/// after a reset by [`FetchUnit::restore_warm`], so a sampled-simulation
-/// interval can start with trained predictors instead of cold ones.
+/// The front end's trained predictor structures — the TAGE direction
+/// predictor, BTB and return-address stack — and the one place they are
+/// trained. [`FetchUnit`] owns one and trains it on every fetched
+/// control-flow instruction; [`FetchUnit::warm_snapshot`] clones it so a
+/// sampled-simulation interval can start with trained predictors, and
+/// [`super::pipeline::WarmState`] trains its copy functionally between
+/// intervals through the same [`FrontendWarm::warm_update`].
+#[derive(Clone, Debug)]
 pub struct FrontendWarm {
-    predictor: Box<dyn DirectionPredictor + Send>,
+    predictor: Tage,
     btb: Btb,
     ras: ReturnAddressStack,
 }
 
-impl Clone for FrontendWarm {
-    fn clone(&self) -> Self {
+impl FrontendWarm {
+    /// Cold structures: TAGE at the paper's ~8 KB budget (2^10 entries
+    /// per tagged table), a 512-set 4-way BTB and a 16-entry RAS.
+    fn new() -> Self {
         Self {
-            predictor: self.predictor.boxed_clone(),
-            btb: self.btb.clone(),
-            ras: self.ras.clone(),
+            predictor: Tage::new(10),
+            btb: Btb::new(512, 4),
+            ras: ReturnAddressStack::new(16),
         }
     }
-}
 
-impl FrontendWarm {
-    /// Functionally trains the predictor structures on one executed
-    /// control-flow instruction, mirroring the fetch unit's own
-    /// prediction on the correct path (SMARTS-style functional warming
-    /// during sampled-simulation fast-forward). Non-control-flow
-    /// instructions are ignored, so callers may feed the whole stream.
+    /// Returns every structure to its cold state, keeping allocations.
+    fn reset(&mut self) {
+        self.predictor.reset();
+        self.btb.reset();
+        self.ras.clear();
+    }
+
+    /// Predicts the control-flow instruction `d` and trains the predictor,
+    /// BTB and RAS with its oracle outcome; returns `true` on a
+    /// misprediction (direction or target). Non-control-flow instructions
+    /// are ignored, so functional warming may feed the whole stream.
     ///
-    /// Returns `true` when the (warm) predictor state would have
-    /// mispredicted this instruction — the exact direction/target test
-    /// `FetchUnit::predict` applies. Because wrong-path instructions are
-    /// synthetic and never branches, predictor state evolves only on the
-    /// committed stream, so the functional mispredict sequence matches
-    /// the detailed core's exactly. Callers use this to emulate
-    /// wrong-path cache pollution (see [`super::pipeline::WarmState`]).
+    /// Because wrong-path instructions are synthetic and never branches,
+    /// predictor state evolves only on the committed stream, so a
+    /// functional warming run mispredicts exactly where the detailed core
+    /// does. Callers use this to emulate wrong-path cache pollution (see
+    /// [`super::pipeline::WarmState`]).
     pub fn warm_update(&mut self, d: &DynInst) -> bool {
         match d.op {
             Opcode::Jal => {
+                // Direct jump: target known at decode. Track calls for RAS.
                 if d.dst.is_some() {
                     self.ras.push(d.pc + 4);
                 }
                 false
             }
             Opcode::Jalr => {
+                // Return/indirect: RAS first, BTB fallback.
                 let predicted = self.ras.pop().or_else(|| self.btb.lookup(d.pc));
                 self.btb.insert(d.pc, d.next_pc);
                 predicted != Some(d.next_pc)
@@ -151,6 +162,7 @@ impl FrontendWarm {
                 if dir != d.taken {
                     true
                 } else if d.taken {
+                    // Correct direction; target must come from the BTB.
                     target != Some(d.next_pc)
                 } else {
                     false
@@ -161,12 +173,12 @@ impl FrontendWarm {
     }
 }
 
-impl std::fmt::Debug for FrontendWarm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FrontendWarm")
-            .field("predictor", &self.predictor.name())
-            .finish_non_exhaustive()
-    }
+/// The synthetic wrong-path stream's load draw, shared by
+/// [`FetchUnit`]'s wrong-path synthesis and the warm pollution model
+/// ([`super::pipeline::WarmState::warm_step`]): a quarter of the draws are
+/// loads, at the raw address `r >> 13` (each caller canonicalises it).
+pub(crate) fn wrong_path_load(r: u64) -> Option<u64> {
+    (r % 100 < 25).then_some(r >> 13)
 }
 
 /// A fetched instruction heading to dispatch.
@@ -197,9 +209,7 @@ pub struct FetchStats {
 pub struct FetchUnit {
     src: FetchSource,
     pushback: Vec<DynInst>,
-    predictor: Box<dyn DirectionPredictor + Send>,
-    btb: Btb,
-    ras: ReturnAddressStack,
+    frontend: FrontendWarm,
     /// Sequence number of the unresolved mispredicted branch, if fetch is
     /// on the wrong path.
     wrong_path_owner: Option<u64>,
@@ -211,15 +221,14 @@ pub struct FetchUnit {
 
 impl FetchUnit {
     /// Creates a fetch unit over `src` — a live emulator or a replayed
-    /// capture — using the configured predictor.
+    /// capture — with cold predictors and the wrong-path stream seeded
+    /// from `cfg.seed`.
     #[must_use]
     pub fn new(src: impl Into<FetchSource>, cfg: &CoreConfig) -> Self {
         Self {
             src: src.into(),
             pushback: Vec::new(),
-            predictor: cfg.predictor.build(),
-            btb: Btb::new(512, 4),
-            ras: ReturnAddressStack::new(16),
+            frontend: FrontendWarm::new(),
             wrong_path_owner: None,
             stall_until: 0,
             wp_seq: WRONG_PATH_SEQ_BASE,
@@ -284,9 +293,7 @@ impl FetchUnit {
     pub fn reset(&mut self, src: impl Into<FetchSource>, cfg: &CoreConfig) {
         self.src = src.into();
         self.pushback.clear();
-        self.predictor.reset();
-        self.btb.reset();
-        self.ras.clear();
+        self.frontend.reset();
         self.wrong_path_owner = None;
         self.stall_until = 0;
         self.wp_seq = WRONG_PATH_SEQ_BASE;
@@ -298,11 +305,7 @@ impl FetchUnit {
     /// BTB, RAS) for later [`FetchUnit::restore_warm`].
     #[must_use]
     pub fn warm_snapshot(&self) -> FrontendWarm {
-        FrontendWarm {
-            predictor: self.predictor.boxed_clone(),
-            btb: self.btb.clone(),
-            ras: self.ras.clone(),
-        }
+        self.frontend.clone()
     }
 
     /// Reinstates predictor training captured by
@@ -310,31 +313,20 @@ impl FetchUnit {
     /// other fetch state (pushback, wrong-path mode, stats) is left as the
     /// reset put it.
     pub fn restore_warm(&mut self, warm: &FrontendWarm) {
-        self.predictor = warm.predictor.boxed_clone();
-        self.btb = warm.btb.clone();
-        self.ras = warm.ras.clone();
-    }
-
-    fn next_rand(&mut self) -> u64 {
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        self.frontend.clone_from(warm);
     }
 
     fn synth_wrong_path(&mut self) -> DynInst {
-        let r = self.next_rand();
+        let r = xorshift64star(&mut self.rng);
         self.wp_seq += 1;
         let seq = self.wp_seq;
         let pick = r % 100;
         let dst = Some(ArchReg::int(1 + (r >> 8) as u8 % 30));
         let src1 = Some(ArchReg::int(1 + (r >> 16) as u8 % 30));
         let src2 = Some(ArchReg::int(1 + (r >> 24) as u8 % 30));
-        let (op, class, mem_addr, dst, src2) = if pick < 25 {
+        let (op, class, mem_addr, dst, src2) = if let Some(addr) = wrong_path_load(r) {
             // wrong-path load: pollutes caches and MSHRs realistically
-            let addr = self.src.canonical_addr(r >> 13);
+            let addr = self.src.canonical_addr(addr);
             (Opcode::Ld, InstClass::Load, Some(addr), dst, None)
         } else if pick < 32 {
             let addr = self.src.canonical_addr(r >> 17);
@@ -367,42 +359,12 @@ impl FetchUnit {
         }
     }
 
-    /// Predicts the control-flow instruction `d`; returns `true` on a
-    /// misprediction (direction or target), updating predictor, BTB and
-    /// RAS with the oracle outcome.
+    /// Predicts the control-flow instruction `d` with
+    /// [`FrontendWarm::warm_update`], counting the branch and any
+    /// misprediction; returns `true` on a misprediction.
     fn predict(&mut self, d: &DynInst) -> bool {
         self.stats.branches += 1;
-        let mispredicted = match d.op {
-            Opcode::Jal => {
-                // Direct jump: target known at decode. Track calls for RAS.
-                if d.dst.is_some() {
-                    self.ras.push(d.pc + 4);
-                }
-                false
-            }
-            Opcode::Jalr => {
-                // Return/indirect: RAS first, BTB fallback.
-                let predicted = self.ras.pop().or_else(|| self.btb.lookup(d.pc));
-                self.btb.insert(d.pc, d.next_pc);
-                predicted != Some(d.next_pc)
-            }
-            _ => {
-                let dir = self.predictor.predict(d.pc);
-                self.predictor.update(d.pc, d.taken);
-                let target = self.btb.lookup(d.pc);
-                if d.taken {
-                    self.btb.insert(d.pc, d.next_pc);
-                }
-                if dir != d.taken {
-                    true
-                } else if d.taken {
-                    // Correct direction; target must come from the BTB.
-                    target != Some(d.next_pc)
-                } else {
-                    false
-                }
-            }
-        };
+        let mispredicted = self.frontend.warm_update(d);
         if mispredicted {
             self.stats.mispredicts += 1;
         }

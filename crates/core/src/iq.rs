@@ -24,6 +24,7 @@
 use crate::config::{Pool, SchedulerKind};
 use crate::rename::PhysReg;
 use orinoco_matrix::{AgeMatrix, BitVec64};
+use orinoco_util::xorshift64star;
 
 /// The rank-key bit that orders non-critical entries after critical ones
 /// (seqs stay below `1 << 63`).
@@ -128,19 +129,10 @@ impl IssueQueue {
         }
     }
 
-    fn next_rand(&mut self) -> u64 {
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
     /// Fisher-Yates shuffle with the IQ's deterministic RNG.
     fn shuffle(&mut self, v: &mut [usize]) {
         for i in (1..v.len()).rev() {
-            let j = (self.next_rand() % (i as u64 + 1)) as usize;
+            let j = (xorshift64star(&mut self.rng) % (i as u64 + 1)) as usize;
             v.swap(i, j);
         }
     }

@@ -5,7 +5,7 @@
 use crate::config::{exec_latency, is_unpipelined, CommitKind, CoreConfig, Pool};
 use crate::crit::CriticalityEngine;
 use crate::exec::{Event, EventKind, EventQueue, FuBank};
-use crate::fetch::{Fetched, FetchUnit};
+use crate::fetch::{wrong_path_load, Fetched, FetchUnit};
 use crate::iq::{IqEntry, IssueQueue};
 use crate::lsq::{LoadSearch, Lsq};
 use crate::rename::RenameUnit;
@@ -13,14 +13,27 @@ use crate::rob::{Rob, RobEntry};
 use crate::stats::SimStats;
 use orinoco_isa::{DynInst, Emulator, InstClass, Opcode};
 use orinoco_matrix::{BitVec64, LockdownMatrix, LockdownTable};
-use orinoco_mem::{AccessKind, HitLevel, MemorySystem};
+use orinoco_mem::{HitLevel, MemorySystem};
 use orinoco_stats::{Resource, StallCause};
 use orinoco_trace::{TraceEventKind, Tracer, STALL_SEQ};
+use orinoco_util::xorshift64star;
 use std::collections::{HashSet, VecDeque};
 
 /// Number of lockdown-table rows (committed-but-unordered loads tracked
 /// for TSO, §3.3).
 const LDT_ROWS: usize = 64;
+
+/// Cycles fetch stays idle after a mispredicted branch resolves or a
+/// replay trap squashes (`Core::on_exec_done`, `Core::replay_from`).
+const REDIRECT_PENALTY: u64 = 5;
+
+/// Cycles fetch stays idle for a page-fault handler
+/// (`Core::take_exception`).
+const PAGEFAULT_PENALTY: u64 = 300;
+
+/// Front-end depth: cycles between fetch and earliest dispatch
+/// (`Core::fetch_stage`).
+const FRONTEND_DEPTH: u64 = 5;
 
 /// One architectural commit, as observed by the commit-trace hook
 /// ([`Core::enable_commit_trace`]). Commits may be reported out of program
@@ -220,8 +233,8 @@ pub struct WarmState {
     /// `Emulator::addr_mask` of the source program — lets the pollution
     /// model below draw canonical data addresses without a fetch source.
     addr_mask: u64,
-    /// xorshift state for the wrong-path pollution model (same generator
-    /// family as `FetchUnit::synth_wrong_path`).
+    /// xorshift64\* state for the wrong-path pollution model, which draws
+    /// its loads as `FetchUnit::synth_wrong_path` does.
     rng: u64,
     /// Fixed wrong-path episode length override; `None` (the default)
     /// scales the episode with the mispredicted branch's resolution
@@ -301,14 +314,8 @@ impl WarmState {
                 u64::from,
             );
             for _ in 0..depth {
-                let mut x = self.rng;
-                x ^= x >> 12;
-                x ^= x << 25;
-                x ^= x >> 27;
-                self.rng = x;
-                let r = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
-                if r % 100 < 25 {
-                    self.mem.warm_access((r >> 13) & self.addr_mask);
+                if let Some(addr) = wrong_path_load(xorshift64star(&mut self.rng)) {
+                    self.mem.warm_access(addr & self.addr_mask);
                 }
             }
         }
@@ -319,13 +326,6 @@ impl WarmState {
     /// disables pollution emulation entirely.
     pub fn set_wrong_path_depth(&mut self, depth: u32) {
         self.wp_depth = Some(depth);
-    }
-
-    /// The warm memory image — for residency inspection via
-    /// [`MemorySystem::probe`] (verification and diagnostics).
-    #[must_use]
-    pub fn mem(&self) -> &MemorySystem {
-        &self.mem
     }
 }
 
@@ -976,7 +976,7 @@ impl Core {
         let Some(&(addr, _)) = self.sb.front() else {
             return false;
         };
-        if self.mem.access(addr, AccessKind::Store, self.now).is_some() {
+        if self.mem.access(addr, self.now).is_some() {
             self.sb.pop_front();
             true
         } else {
@@ -1055,11 +1055,7 @@ impl Core {
             // Even a rejected attempt touches the memory hierarchy, so a
             // cycle with store-buffer traffic is never quiet.
             self.cyc_quiet = false;
-            if self
-                .mem
-                .access(addr, AccessKind::Store, self.now)
-                .is_some()
-            {
+            if self.mem.access(addr, self.now).is_some() {
                 self.sb.pop_front();
             }
         }
@@ -1148,7 +1144,7 @@ impl Core {
                     ce.record_event(pc);
                 }
                 self.squash_ge(seq + 1, true);
-                self.fetch.redirect(seq, self.now, self.cfg.redirect_penalty);
+                self.fetch.redirect(seq, self.now, REDIRECT_PENALTY);
             }
             self.mark_safe_traced(idx);
         }
@@ -1264,7 +1260,7 @@ impl Core {
             });
             return;
         }
-        match self.mem.access(addr, AccessKind::Load, self.now) {
+        match self.mem.access(addr, self.now) {
             Some(out) => {
                 let private_hit = out.level != HitLevel::Dram;
                 if let Some(slot) = self.rob.entry(idx).lq_slot {
@@ -1934,15 +1930,14 @@ impl Core {
         self.stats.exceptions += 1;
         self.handled_faults.insert(seq);
         self.squash_ge(seq, false);
-        self.fetch
-            .redirect(seq, self.now, self.cfg.pagefault_penalty);
+        self.fetch.redirect(seq, self.now, PAGEFAULT_PENALTY);
     }
 
     fn replay_from(&mut self, idx: usize) {
         let seq = self.rob.entry(idx).seq;
         self.stats.replays += 1;
         self.squash_ge(seq, false);
-        self.fetch.redirect(seq, self.now, self.cfg.redirect_penalty);
+        self.fetch.redirect(seq, self.now, REDIRECT_PENALTY);
     }
 
     // ------------------------------------------------------------------
@@ -2310,11 +2305,11 @@ impl Core {
     // ------------------------------------------------------------------
 
     fn fetch_stage(&mut self) {
-        let cap = self.cfg.width * (self.cfg.frontend_depth as usize + 2);
+        let cap = self.cfg.width * (FRONTEND_DEPTH as usize + 2);
         if self.fq.len() >= cap {
             return;
         }
-        let dispatchable_at = self.now + self.cfg.frontend_depth;
+        let dispatchable_at = self.now + FRONTEND_DEPTH;
         self.fetch.fetch_into(self.now, self.cfg.width, &mut self.scratch_fetch);
         if !self.scratch_fetch.is_empty() {
             self.cyc_quiet = false;

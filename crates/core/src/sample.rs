@@ -100,6 +100,7 @@ use crate::pipeline::{Core, WarmState};
 use orinoco_isa::{EmuCheckpoint, Emulator, Program};
 use orinoco_stats::{StallCause, StallTaxonomy};
 use orinoco_util::pool::{default_jobs, ordered_pipeline_map};
+use orinoco_util::splitmix64;
 use std::path::{Path, PathBuf};
 
 /// Default stratified-placement seed ([`SampleConfig::jitter_seed`]).
@@ -267,13 +268,6 @@ impl SampleConfig {
     #[must_use]
     pub fn systematic(mut self) -> Self {
         self.jitter_seed = None;
-        self
-    }
-
-    /// Replaces the stratified-sampling seed.
-    #[must_use]
-    pub fn with_jitter_seed(mut self, seed: u64) -> Self {
-        self.jitter_seed = Some(seed);
         self
     }
 
@@ -499,17 +493,6 @@ impl SampledStats {
             self.total_insts,
         )
     }
-}
-
-/// splitmix64: the jitter stream for stratified interval placement and
-/// the k-means seeding below (deliberately local — the sampler's streams
-/// must never shift when some other module draws from a shared RNG).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// k-means seed used when [`SampleConfig::jitter_seed`] is `None` but

@@ -1,18 +1,18 @@
-//! Branch-prediction front-end for the Orinoco simulator: TAGE, gshare and
-//! bimodal direction predictors, a set-associative branch target buffer and
-//! a return-address stack.
+//! Branch-prediction front-end for the Orinoco simulator: a TAGE direction
+//! predictor, a set-associative branch target buffer and a return-address
+//! stack.
 //!
 //! The paper's baseline core (Table 1) uses a TAGE-SC-L-8KB predictor;
-//! [`Tage::new`]`(10)` provides the equivalent storage budget. Simpler
-//! predictors are included for sensitivity studies and as the TAGE base
-//! component.
+//! [`Tage::new`]`(10)` provides the equivalent storage budget and is the
+//! only predictor the core builds. [`Bimodal`] and [`AlwaysTaken`] remain
+//! as the yardsticks TAGE's tests measure it against.
 //!
 //! # Example
 //!
 //! ```
-//! use orinoco_frontend::{DirectionPredictor, PredictorKind};
+//! use orinoco_frontend::{DirectionPredictor, Tage};
 //!
-//! let mut p = PredictorKind::Tage.build();
+//! let mut p = Tage::new(10);
 //! let taken = p.predict(0x40);
 //! p.update(0x40, true);
 //! # let _ = taken;
@@ -26,57 +26,17 @@ mod predictor;
 mod tage;
 
 pub use btb::{Btb, ReturnAddressStack};
-pub use predictor::{AlwaysTaken, Bimodal, DirectionPredictor, Gshare};
+pub use predictor::{AlwaysTaken, Bimodal, DirectionPredictor};
 pub use tage::Tage;
-
-/// Selectable predictor families for simulator configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum PredictorKind {
-    /// Static always-taken.
-    AlwaysTaken,
-    /// Bimodal 2-bit counters (4K entries).
-    Bimodal,
-    /// Gshare with 12 bits of global history (4K entries).
-    Gshare,
-    /// TAGE with an ~8 KB budget (the paper's configuration class).
-    Tage,
-}
-
-impl PredictorKind {
-    /// Instantiates the predictor.
-    #[must_use]
-    pub fn build(self) -> Box<dyn DirectionPredictor + Send> {
-        match self {
-            PredictorKind::AlwaysTaken => Box::new(AlwaysTaken),
-            PredictorKind::Bimodal => Box::new(Bimodal::new(4096)),
-            PredictorKind::Gshare => Box::new(Gshare::new(4096, 12)),
-            PredictorKind::Tage => Box::new(Tage::new(10)),
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn all_kinds_build() {
-        for kind in [
-            PredictorKind::AlwaysTaken,
-            PredictorKind::Bimodal,
-            PredictorKind::Gshare,
-            PredictorKind::Tage,
-        ] {
-            let mut p = kind.build();
-            let _ = p.predict(0x80);
-            p.update(0x80, true);
-        }
-    }
-
-    #[test]
     fn tage_outpredicts_always_taken_on_biased_not_taken() {
-        let mut tage = PredictorKind::Tage.build();
-        let mut at = PredictorKind::AlwaysTaken.build();
+        let mut tage = Tage::new(10);
+        let mut at = AlwaysTaken;
         let mut tage_ok = 0;
         let mut at_ok = 0;
         for i in 0..500 {

@@ -1,6 +1,6 @@
 //! Branch direction predictors: the [`DirectionPredictor`] trait and the
-//! classic bimodal and gshare designs used as baselines and as components
-//! of TAGE.
+//! bimodal and always-taken designs TAGE's tests measure it against (the
+//! 2-bit counter is also TAGE's base component).
 
 /// A conditional-branch direction predictor.
 ///
@@ -15,17 +15,6 @@ pub trait DirectionPredictor {
     /// Trains the predictor with the resolved outcome of the branch at
     /// `pc`.
     fn update(&mut self, pc: u64, taken: bool);
-
-    /// Human-readable name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Returns the predictor to its freshly-constructed state in place,
-    /// keeping all allocations (core reset path).
-    fn reset(&mut self);
-
-    /// Clones the predictor behind its trait object, trained state
-    /// included (warm-state checkpointing for sampled simulation).
-    fn boxed_clone(&self) -> Box<dyn DirectionPredictor + Send>;
 }
 
 /// A saturating 2-bit counter.
@@ -100,77 +89,6 @@ impl DirectionPredictor for Bimodal {
         let i = self.index(pc);
         self.table[i].update(taken);
     }
-
-    fn name(&self) -> &'static str {
-        "bimodal"
-    }
-
-    fn reset(&mut self) {
-        self.table.fill(Counter2::new(1));
-    }
-
-    fn boxed_clone(&self) -> Box<dyn DirectionPredictor + Send> {
-        Box::new(self.clone())
-    }
-}
-
-/// Gshare: 2-bit counters indexed by `PC ⊕ global history`.
-#[derive(Clone, Debug)]
-pub struct Gshare {
-    table: Vec<Counter2>,
-    mask: u64,
-    history: u64,
-    history_bits: u32,
-}
-
-impl Gshare {
-    /// Creates a gshare predictor with `entries` counters and
-    /// `history_bits` of global history.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entries` is not a power of two or `history_bits > 63`.
-    #[must_use]
-    pub fn new(entries: usize, history_bits: u32) -> Self {
-        assert!(entries.is_power_of_two(), "entries must be a power of two");
-        assert!(history_bits <= 63, "history too long");
-        Self {
-            table: vec![Counter2::new(1); entries],
-            mask: entries as u64 - 1,
-            history: 0,
-            history_bits,
-        }
-    }
-
-    fn index(&self, pc: u64) -> usize {
-        (((pc >> 2) ^ self.history) & self.mask) as usize
-    }
-}
-
-impl DirectionPredictor for Gshare {
-    fn predict(&mut self, pc: u64) -> bool {
-        self.table[self.index(pc)].taken()
-    }
-
-    fn update(&mut self, pc: u64, taken: bool) {
-        let i = self.index(pc);
-        self.table[i].update(taken);
-        self.history = ((self.history << 1) | u64::from(taken))
-            & ((1u64 << self.history_bits) - 1);
-    }
-
-    fn name(&self) -> &'static str {
-        "gshare"
-    }
-
-    fn reset(&mut self) {
-        self.table.fill(Counter2::new(1));
-        self.history = 0;
-    }
-
-    fn boxed_clone(&self) -> Box<dyn DirectionPredictor + Send> {
-        Box::new(self.clone())
-    }
 }
 
 /// Static always-taken predictor (the weakest baseline).
@@ -182,13 +100,6 @@ impl DirectionPredictor for AlwaysTaken {
         true
     }
     fn update(&mut self, _pc: u64, _taken: bool) {}
-    fn name(&self) -> &'static str {
-        "always-taken"
-    }
-    fn reset(&mut self) {}
-    fn boxed_clone(&self) -> Box<dyn DirectionPredictor + Send> {
-        Box::new(*self)
-    }
 }
 
 #[cfg(test)]
@@ -225,24 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn gshare_learns_alternating_pattern() {
-        // A branch alternating T/N/T/N is hopeless for bimodal but
-        // trivially captured with 1+ bits of history.
-        let mut g = Gshare::new(1024, 8);
-        let mut correct = 0;
-        let mut outcome = false;
-        for i in 0..200 {
-            let pred = g.predict(0x80);
-            if i >= 50 && pred == outcome {
-                correct += 1;
-            }
-            g.update(0x80, outcome);
-            outcome = !outcome;
-        }
-        assert!(correct >= 140, "gshare only got {correct}/150 warm");
-    }
-
-    #[test]
     fn bimodal_cannot_learn_alternating() {
         let mut p = Bimodal::new(64);
         let mut correct = 0;
@@ -264,7 +157,6 @@ mod tests {
         assert!(p.predict(0));
         p.update(0, false);
         assert!(p.predict(0));
-        assert_eq!(p.name(), "always-taken");
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! storage budget matches the paper's 8 KB at the default configuration.
 
 use crate::predictor::{Counter2, DirectionPredictor};
+use orinoco_util::xorshift64star;
 
 const NUM_TABLES: usize = 8;
 const HIST_LENGTHS: [usize; NUM_TABLES] = [4, 7, 13, 23, 41, 73, 130, 232];
@@ -141,14 +142,26 @@ impl Tage {
         }
     }
 
-    fn next_rand(&mut self) -> u64 {
-        // xorshift64*
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    /// Returns the predictor to its freshly-constructed state in place,
+    /// keeping all allocations (core reset path).
+    pub fn reset(&mut self) {
+        self.base.fill(Counter2::new(1));
+        for t in &mut self.tables {
+            t.fill(TageEntry::default());
+        }
+        self.hist = [false; MAX_HIST];
+        self.hist_pos = 0;
+        for f in self
+            .folded_idx
+            .iter_mut()
+            .chain(self.folded_tag0.iter_mut())
+            .chain(self.folded_tag1.iter_mut())
+        {
+            f.comp = 0;
+        }
+        self.use_alt_on_na = 0;
+        self.rng = 0x9E37_79B9_7F4A_7C15;
+        self.ctx = PredictCtx::default();
     }
 
     fn table_index(&self, table: usize, pc: u64) -> usize {
@@ -320,11 +333,9 @@ impl DirectionPredictor for Tage {
                 } else {
                     // Prefer shorter history (first candidate) with a touch
                     // of randomisation, as in Seznec's implementation.
-                    let pick = if candidates.len() > 1 && self.next_rand().is_multiple_of(4) {
-                        1
-                    } else {
-                        0
-                    };
+                    let pick = usize::from(
+                        candidates.len() > 1 && xorshift64star(&mut self.rng).is_multiple_of(4),
+                    );
                     let (t, idx) = candidates[pick];
                     let tag = self.table_tag(t, pc);
                     self.tables[t][idx] = TageEntry {
@@ -338,34 +349,6 @@ impl DirectionPredictor for Tage {
 
         self.push_history(taken);
         self.ctx = PredictCtx::default();
-    }
-
-    fn name(&self) -> &'static str {
-        "tage"
-    }
-
-    fn reset(&mut self) {
-        self.base.fill(Counter2::new(1));
-        for t in &mut self.tables {
-            t.fill(TageEntry::default());
-        }
-        self.hist = [false; MAX_HIST];
-        self.hist_pos = 0;
-        for f in self
-            .folded_idx
-            .iter_mut()
-            .chain(self.folded_tag0.iter_mut())
-            .chain(self.folded_tag1.iter_mut())
-        {
-            f.comp = 0;
-        }
-        self.use_alt_on_na = 0;
-        self.rng = 0x9E37_79B9_7F4A_7C15;
-        self.ctx = PredictCtx::default();
-    }
-
-    fn boxed_clone(&self) -> Box<dyn DirectionPredictor + Send> {
-        Box::new(self.clone())
     }
 }
 
@@ -465,11 +448,6 @@ mod tests {
             f.update(i % 3 == 0, i % 7 == 0);
             assert!(f.comp < (1 << 10));
         }
-    }
-
-    #[test]
-    fn name_is_tage() {
-        assert_eq!(Tage::new(8).name(), "tage");
     }
 
     #[test]

@@ -6,6 +6,7 @@
 use orinoco_isa::{
     ArchReg, EmuCheckpoint, Emulator, ProgramBuilder, CHECKPOINT_FILE_VERSION,
 };
+use orinoco_util::splitmix64;
 
 /// A small program with enough state churn that a mid-flight checkpoint
 /// carries non-trivial registers and memory.
@@ -32,15 +33,6 @@ fn ckpt_at(steps: u64, seed: u64) -> EmuCheckpoint {
         emu.step();
     }
     emu.checkpoint()
-}
-
-/// splitmix64 for the corruption fuzzing below (no external RNG).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[test]

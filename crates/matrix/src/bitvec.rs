@@ -260,19 +260,6 @@ impl BitVec64 {
         out
     }
 
-    /// Overwrites `self` with the contents of `other` without allocating.
-    ///
-    /// This is the in-place analogue of `clone()` used by the scratch-buffer
-    /// hot paths (the derived `Clone` always allocates a fresh word vector).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two vectors have different lengths.
-    pub fn copy_from(&mut self, other: &Self) {
-        assert_eq!(self.len, other.len, "length mismatch in copy_from");
-        self.words.copy_from_slice(&other.words);
-    }
-
     /// Iterates over the indices of the set bits in ascending order.
     ///
     /// # Examples
@@ -283,7 +270,11 @@ impl BitVec64 {
     /// assert_eq!(v.iter_ones().collect::<Vec<_>>(), vec![2, 65, 79]);
     /// ```
     pub fn iter_ones(&self) -> IterOnes<'_> {
-        IterOnes::from_words(&self.words)
+        IterOnes {
+            words: &self.words,
+            word_idx: 0,
+            current: self.words.first().copied().unwrap_or(0),
+        }
     }
 
     /// Iterates over the indices set in **both** `self` and `other`, in
@@ -380,18 +371,6 @@ pub struct IterOnes<'a> {
     words: &'a [u64],
     word_idx: usize,
     current: u64,
-}
-
-impl<'a> IterOnes<'a> {
-    /// Builds an iterator straight over a word slice, so [`crate::BitMatrix`]
-    /// can iterate a row's set bits without copying the row out first.
-    pub(crate) fn from_words(words: &'a [u64]) -> Self {
-        Self {
-            words,
-            word_idx: 0,
-            current: words.first().copied().unwrap_or(0),
-        }
-    }
 }
 
 impl Iterator for IterOnes<'_> {

@@ -6,7 +6,6 @@
 //! column-wise write of §4.2, and the row AND/NOR/bit-count reads are the
 //! bit-line computing operations of §4.1.
 
-use crate::bitvec::IterOnes;
 use crate::BitVec64;
 use std::fmt;
 
@@ -142,19 +141,6 @@ impl BitMatrix {
         }
     }
 
-    /// `row |= bits`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of bounds or `bits.len() != cols`.
-    pub fn row_or_assign(&mut self, row: usize, bits: &BitVec64) {
-        assert_eq!(bits.len(), self.cols, "row width mismatch");
-        let range = self.row_range(row);
-        for (w, b) in self.words[range].iter_mut().zip(bits.words()) {
-            *w |= b;
-        }
-    }
-
     /// Clears column `col` in every row (the column-wise clear of §4.2).
     ///
     /// # Panics
@@ -271,18 +257,6 @@ impl BitMatrix {
         assert_eq!(out.len(), self.cols, "row buffer length mismatch");
         let range = self.row_range(row);
         out.words_mut().copy_from_slice(&self.words[range]);
-    }
-
-    /// Iterates over the column indices of the set bits of `row`, without
-    /// copying the row out first — the word-at-a-time row scan used by the
-    /// grant and wakeup hot paths.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of bounds.
-    pub fn iter_row_ones(&self, row: usize) -> IterOnes<'_> {
-        let range = self.row_range(row);
-        IterOnes::from_words(&self.words[range])
     }
 
     /// Popcount of `row & mask` — the bit count encoding read (§3.1/§4.1).
@@ -446,14 +420,6 @@ mod tests {
         m.write_row(2, &bits);
         assert_eq!(m.read_row(2), bits);
         assert!(m.get(2, 64));
-    }
-
-    #[test]
-    fn row_or_assign_merges() {
-        let mut m = BitMatrix::new(2, 10);
-        m.set(0, 1);
-        m.row_or_assign(0, &BitVec64::from_indices(10, [3]));
-        assert_eq!(m.read_row(0).iter_ones().collect::<Vec<_>>(), vec![1, 3]);
     }
 
     #[test]

@@ -586,7 +586,7 @@ fn lockdown_table_refcount_oracle() {
     });
 }
 
-/// `read_row_into` / `read_col_into` / `iter_row_ones` agree with the
+/// `read_row_into` / `read_col_into` agree with the
 /// allocating `read_row` / `read_col` on random bit matrices, even when
 /// the destination vector arrives dirty.
 #[test]
@@ -607,11 +607,6 @@ fn bitmatrix_into_readers_equal_allocating() {
                 row_buf.iter_ones().collect::<Vec<_>>(),
                 want.iter_ones().collect::<Vec<_>>(),
                 "row {r}"
-            );
-            assert_eq!(
-                m.iter_row_ones(r).collect::<Vec<_>>(),
-                want.iter_ones().collect::<Vec<_>>(),
-                "row {r} (iter)"
             );
         }
         for c in 0..cols {

@@ -4,17 +4,6 @@
 use crate::{Cache, CacheConfig, StreamPrefetcher};
 use std::collections::HashMap;
 
-/// Kind of memory access presented to the hierarchy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AccessKind {
-    /// Demand load.
-    Load,
-    /// Demand store (write-allocate, write-back).
-    Store,
-    /// Prefetch (fills tags, no demand statistics).
-    Prefetch,
-}
-
 /// Which level served an access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum HitLevel {
@@ -100,12 +89,12 @@ pub struct MemStats {
 /// # Examples
 ///
 /// ```
-/// use orinoco_mem::{AccessKind, HitLevel, MemConfig, MemorySystem};
+/// use orinoco_mem::{HitLevel, MemConfig, MemorySystem};
 ///
 /// let mut mem = MemorySystem::new(MemConfig::default());
-/// let cold = mem.access(0x4000, AccessKind::Load, 0).unwrap();
+/// let cold = mem.access(0x4000, 0).unwrap();
 /// assert_eq!(cold.level, HitLevel::Dram);
-/// let warm = mem.access(0x4000, AccessKind::Load, cold.complete_at).unwrap();
+/// let warm = mem.access(0x4000, cold.complete_at).unwrap();
 /// assert_eq!(warm.level, HitLevel::L1);
 /// ```
 #[derive(Clone, Debug)]
@@ -156,25 +145,20 @@ impl MemorySystem {
         self.outstanding.retain(|_, &mut (done, _)| done > now);
     }
 
-    /// Presents an access at cycle `now`. Returns `None` when all MSHRs are
-    /// busy (the core must retry); otherwise the completion cycle and the
-    /// serving level.
-    pub fn access(&mut self, addr: u64, kind: AccessKind, now: u64) -> Option<AccessOutcome> {
+    /// Presents a demand access (load or store: both write-allocate) at
+    /// cycle `now`. Returns `None` when all MSHRs are busy (the core must
+    /// retry); otherwise the completion cycle and the serving level.
+    pub fn access(&mut self, addr: u64, now: u64) -> Option<AccessOutcome> {
         let line = self.l1.line_of(addr);
-        let demand = kind != AccessKind::Prefetch;
         // L1 hit: no MSHR needed.
         if self.l1.access(addr) {
-            if demand {
-                self.stats.l1_hits += 1;
-            }
+            self.stats.l1_hits += 1;
             return Some(AccessOutcome {
                 complete_at: now + self.cfg.l1.latency,
                 level: HitLevel::L1,
             });
         }
-        if demand {
-            self.stats.l1_misses += 1;
-        }
+        self.stats.l1_misses += 1;
         self.reclaim_mshrs(now);
         // Merge into an outstanding miss to the same line.
         if let Some(&(done, level)) = self.outstanding.get(&line) {
@@ -185,26 +169,33 @@ impl MemorySystem {
             self.stats.mshr_rejections += 1;
             return None;
         }
-        // Walk the hierarchy.
-        let (latency, level) = if self.l2.access(addr) {
-            if demand {
-                self.stats.l2_hits += 1;
-            }
-            (self.cfg.l2.latency, HitLevel::L2)
-        } else if self.llc.access(addr) {
-            if demand {
-                self.stats.llc_hits += 1;
-            }
-            (self.cfg.llc.latency, HitLevel::Llc)
-        } else {
-            if demand {
-                self.stats.dram_accesses += 1;
-            }
-            (self.cfg.dram_latency, HitLevel::Dram)
+        let level = self.walk_and_fill(addr);
+        let (served, latency) = match level {
+            HitLevel::L2 => (&mut self.stats.l2_hits, self.cfg.l2.latency),
+            HitLevel::Llc => (&mut self.stats.llc_hits, self.cfg.llc.latency),
+            HitLevel::Dram => (&mut self.stats.dram_accesses, self.cfg.dram_latency),
+            HitLevel::L1 => unreachable!("an L1 miss is served below L1"),
         };
+        *served += 1;
+        // Tags were filled eagerly; the timing is carried by the
+        // completion cycle.
         let done = now + latency;
-        // Fill upward (tags updated eagerly; the timing is carried by the
-        // completion cycle).
+        self.outstanding.insert(line, (done, level));
+        self.stats.prefetches += self.prefetch(addr);
+        Some(AccessOutcome { complete_at: done, level })
+    }
+
+    /// Serves an L1 miss for `addr` from L2, the LLC or DRAM, and fills
+    /// the line into every level above the one that held it. Returns that
+    /// level.
+    fn walk_and_fill(&mut self, addr: u64) -> HitLevel {
+        let level = if self.l2.access(addr) {
+            HitLevel::L2
+        } else if self.llc.access(addr) {
+            HitLevel::Llc
+        } else {
+            HitLevel::Dram
+        };
         self.l1.fill(addr);
         if level != HitLevel::L2 {
             self.l2.fill(addr);
@@ -212,24 +203,29 @@ impl MemorySystem {
         if level == HitLevel::Dram {
             self.llc.fill(addr);
         }
-        self.outstanding.insert(line, (done, level));
-        // Train the prefetcher on demand misses and issue ahead.
-        if demand {
-            if let Some(pf) = self.prefetcher.as_mut() {
-                let mut candidates = std::mem::take(&mut self.scratch_pf);
-                pf.on_access_into(addr, &mut candidates);
-                for &pf_addr in &candidates {
-                    if !self.l1.contains(pf_addr) {
-                        self.stats.prefetches += 1;
-                        self.l1.fill(pf_addr);
-                        self.l2.fill(pf_addr);
-                        self.llc.fill(pf_addr);
-                    }
-                }
-                self.scratch_pf = candidates;
+        level
+    }
+
+    /// Trains the prefetcher on a demand miss to `addr` and fills every
+    /// level with each candidate line L1 lacks. Returns the number of
+    /// lines issued.
+    fn prefetch(&mut self, addr: u64) -> u64 {
+        let Some(pf) = self.prefetcher.as_mut() else {
+            return 0;
+        };
+        let mut candidates = std::mem::take(&mut self.scratch_pf);
+        pf.on_access_into(addr, &mut candidates);
+        let mut issued = 0;
+        for &pf_addr in &candidates {
+            if !self.l1.contains(pf_addr) {
+                issued += 1;
+                self.l1.fill(pf_addr);
+                self.l2.fill(pf_addr);
+                self.llc.fill(pf_addr);
             }
         }
-        Some(AccessOutcome { complete_at: done, level })
+        self.scratch_pf = candidates;
+        issued
     }
 
     /// Invalidates `addr` in every level (coherence traffic for the TSO
@@ -283,15 +279,14 @@ impl MemorySystem {
         snap
     }
 
-    /// Functional-warming access (SMARTS-style): walks the tag arrays and
-    /// fills on miss exactly like [`MemorySystem::access`], training the
-    /// prefetcher too, but with no timing, no MSHR occupancy and no
-    /// statistics. Sampled simulation calls this for every memory
-    /// instruction executed during functional fast-forward, so the cache
-    /// and prefetcher state a detailed interval starts from matches what
-    /// a full detailed run would have accumulated — without it, carried
-    /// warm state goes stale over the fast-forwarded gap and
-    /// memory-resident workloads read 20%+ slow.
+    /// Functional-warming access (SMARTS-style): the same tag walk, fill
+    /// and prefetcher training as [`MemorySystem::access`], but with no
+    /// timing, no MSHR occupancy and no statistics. Sampled simulation
+    /// calls this for every memory instruction executed during functional
+    /// fast-forward, so the cache and prefetcher state a detailed interval
+    /// starts from matches what a full detailed run would have
+    /// accumulated — without it, carried warm state goes stale over the
+    /// fast-forwarded gap and memory-resident workloads read 20%+ slow.
     ///
     /// Returns the level that served the access (before the fill), so
     /// callers can approximate load latency functionally.
@@ -299,50 +294,9 @@ impl MemorySystem {
         if self.l1.access(addr) {
             return HitLevel::L1;
         }
-        let level = if self.l2.access(addr) {
-            HitLevel::L2
-        } else if self.llc.access(addr) {
-            HitLevel::Llc
-        } else {
-            HitLevel::Dram
-        };
-        self.l1.fill(addr);
-        if level != HitLevel::L2 {
-            self.l2.fill(addr);
-        }
-        if level == HitLevel::Dram {
-            self.llc.fill(addr);
-        }
-        if let Some(pf) = self.prefetcher.as_mut() {
-            let mut candidates = std::mem::take(&mut self.scratch_pf);
-            pf.on_access_into(addr, &mut candidates);
-            for &pf_addr in &candidates {
-                if !self.l1.contains(pf_addr) {
-                    self.l1.fill(pf_addr);
-                    self.l2.fill(pf_addr);
-                    self.llc.fill(pf_addr);
-                }
-            }
-            self.scratch_pf = candidates;
-        }
+        let level = self.walk_and_fill(addr);
+        self.prefetch(addr);
         level
-    }
-
-    /// Non-mutating residency probe: the closest level holding `addr`'s
-    /// line, or `None` when only DRAM would serve it. Unlike
-    /// [`MemorySystem::access`] this touches no replacement state and no
-    /// statistics — it exists for warm-state inspection and diagnostics.
-    #[must_use]
-    pub fn probe(&self, addr: u64) -> Option<HitLevel> {
-        if self.l1.contains(addr) {
-            Some(HitLevel::L1)
-        } else if self.l2.contains(addr) {
-            Some(HitLevel::L2)
-        } else if self.llc.contains(addr) {
-            Some(HitLevel::Llc)
-        } else {
-            None
-        }
     }
 
     /// Restores warm state from a [`MemorySystem::warm_snapshot`]: cache
@@ -369,10 +323,10 @@ mod tests {
     #[test]
     fn cold_miss_goes_to_dram_then_warms() {
         let mut mem = MemorySystem::new(no_prefetch());
-        let a = mem.access(0x1000, AccessKind::Load, 0).unwrap();
+        let a = mem.access(0x1000, 0).unwrap();
         assert_eq!(a.level, HitLevel::Dram);
         assert_eq!(a.complete_at, 200);
-        let b = mem.access(0x1000, AccessKind::Load, 300).unwrap();
+        let b = mem.access(0x1000, 300).unwrap();
         assert_eq!(b.level, HitLevel::L1);
         assert_eq!(b.complete_at, 304);
     }
@@ -380,20 +334,20 @@ mod tests {
     #[test]
     fn l2_hit_after_l1_eviction() {
         let mut mem = MemorySystem::new(no_prefetch());
-        mem.access(0x1000, AccessKind::Load, 0).unwrap();
+        mem.access(0x1000, 0).unwrap();
         // Evict 0x1000 from L1 by filling its set (8 ways, 64 sets, 64B
         // lines -> same set every 4 KiB).
         for i in 1..=8u64 {
-            mem.access(0x1000 + i * 4096, AccessKind::Load, 1000 + i * 300).unwrap();
+            mem.access(0x1000 + i * 4096, 1000 + i * 300).unwrap();
         }
-        let back = mem.access(0x1000, AccessKind::Load, 10_000).unwrap();
+        let back = mem.access(0x1000, 10_000).unwrap();
         assert_eq!(back.level, HitLevel::L2);
     }
 
     #[test]
     fn mshr_merge_same_line() {
         let mut mem = MemorySystem::new(no_prefetch());
-        let a = mem.access(0x2000, AccessKind::Load, 0).unwrap();
+        let a = mem.access(0x2000, 0).unwrap();
         // Second access to the same line while outstanding: L1 tags were
         // eagerly filled, so it hits L1 in this model; access a *different*
         // word of a line that is still in flight via direct map check.
@@ -402,9 +356,9 @@ mod tests {
         // Force a situation where the L1 line was evicted but the miss is
         // still outstanding: fill the set.
         for i in 1..=8u64 {
-            mem.access(0x2000 + i * 4096, AccessKind::Load, 10).unwrap();
+            mem.access(0x2000 + i * 4096, 10).unwrap();
         }
-        let merged = mem.access(0x2040, AccessKind::Load, 20); // same 64B line? 0x2040 is next line
+        let merged = mem.access(0x2040, 20); // same 64B line? 0x2040 is next line
         let _ = merged;
         // The precise merge path is exercised in the MSHR-full test below;
         // here we only require consistency.
@@ -414,13 +368,13 @@ mod tests {
     #[test]
     fn mshr_exhaustion_rejects() {
         let mut mem = MemorySystem::new(MemConfig { mshrs: 2, prefetch_streams: 0, ..MemConfig::default() });
-        assert!(mem.access(0x0000, AccessKind::Load, 0).is_some());
-        assert!(mem.access(0x8000, AccessKind::Load, 0).is_some());
+        assert!(mem.access(0x0000, 0).is_some());
+        assert!(mem.access(0x8000, 0).is_some());
         // Third distinct-line miss at the same cycle: rejected.
-        assert!(mem.access(0x10000, AccessKind::Load, 0).is_none());
+        assert!(mem.access(0x10000, 0).is_none());
         assert_eq!(mem.stats().mshr_rejections, 1);
         // After the misses complete, capacity frees up.
-        assert!(mem.access(0x10000, AccessKind::Load, 500).is_some());
+        assert!(mem.access(0x10000, 500).is_some());
     }
 
     #[test]
@@ -430,8 +384,8 @@ mod tests {
         let mut t = 0;
         for i in 0..64u64 {
             let addr = i * 64;
-            with_pf.access(addr, AccessKind::Load, t).unwrap();
-            without.access(addr, AccessKind::Load, t).unwrap();
+            with_pf.access(addr, t).unwrap();
+            without.access(addr, t).unwrap();
             t += 300;
         }
         assert!(
@@ -444,37 +398,18 @@ mod tests {
     }
 
     #[test]
-    fn stores_allocate() {
-        let mut mem = MemorySystem::new(no_prefetch());
-        let s = mem.access(0x3000, AccessKind::Store, 0).unwrap();
-        assert_eq!(s.level, HitLevel::Dram);
-        let l = mem.access(0x3000, AccessKind::Load, 500).unwrap();
-        assert_eq!(l.level, HitLevel::L1);
-    }
-
-    #[test]
     fn invalidate_forces_refetch() {
         let mut mem = MemorySystem::new(no_prefetch());
-        mem.access(0x4000, AccessKind::Load, 0).unwrap();
+        mem.access(0x4000, 0).unwrap();
         assert!(mem.invalidate(0x4000));
-        let again = mem.access(0x4000, AccessKind::Load, 1000).unwrap();
+        let again = mem.access(0x4000, 1000).unwrap();
         assert_eq!(again.level, HitLevel::Dram);
-    }
-
-    #[test]
-    fn prefetch_kind_does_not_count_as_demand() {
-        let mut mem = MemorySystem::new(no_prefetch());
-        mem.access(0x9000, AccessKind::Prefetch, 0).unwrap();
-        assert_eq!(mem.stats().l1_misses, 0);
-        assert_eq!(mem.stats().dram_accesses, 0);
-        let hit = mem.access(0x9000, AccessKind::Load, 300).unwrap();
-        assert_eq!(hit.level, HitLevel::L1);
     }
 
     #[test]
     fn mshrs_busy_reclaims() {
         let mut mem = MemorySystem::new(no_prefetch());
-        mem.access(0x0, AccessKind::Load, 0).unwrap();
+        mem.access(0x0, 0).unwrap();
         assert_eq!(mem.mshrs_busy(10), 1);
         assert_eq!(mem.mshrs_busy(1000), 0);
     }
@@ -483,8 +418,8 @@ mod tests {
     fn next_completion_cycle_tracks_outstanding_min() {
         let mut mem = MemorySystem::new(no_prefetch());
         assert_eq!(mem.next_completion_cycle(), None);
-        let a = mem.access(0x0, AccessKind::Load, 0).unwrap();
-        let b = mem.access(0x8000, AccessKind::Load, 50).unwrap();
+        let a = mem.access(0x0, 0).unwrap();
+        let b = mem.access(0x8000, 50).unwrap();
         assert_eq!(
             mem.next_completion_cycle(),
             Some(a.complete_at.min(b.complete_at))
@@ -498,14 +433,14 @@ mod tests {
     fn reset_matches_fresh_construction() {
         let mut mem = MemorySystem::new(MemConfig::default());
         for i in 0..32u64 {
-            mem.access(i * 64, AccessKind::Load, i * 10).unwrap();
+            mem.access(i * 64, i * 10).unwrap();
         }
         mem.reset();
         let mut fresh = MemorySystem::new(MemConfig::default());
         // Behaviorally identical after reset: same outcome sequence.
         for i in 0..16u64 {
-            let a = mem.access(i * 4096, AccessKind::Load, i * 7).unwrap();
-            let b = fresh.access(i * 4096, AccessKind::Load, i * 7).unwrap();
+            let a = mem.access(i * 4096, i * 7).unwrap();
+            let b = fresh.access(i * 4096, i * 7).unwrap();
             assert_eq!(a, b);
         }
         assert_eq!(format!("{:?}", mem.stats()), format!("{:?}", fresh.stats()));

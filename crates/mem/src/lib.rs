@@ -12,10 +12,10 @@
 //! # Example
 //!
 //! ```
-//! use orinoco_mem::{AccessKind, MemConfig, MemorySystem};
+//! use orinoco_mem::{MemConfig, MemorySystem};
 //!
 //! let mut mem = MemorySystem::new(MemConfig::default());
-//! let out = mem.access(0x1000, AccessKind::Load, 0).unwrap();
+//! let out = mem.access(0x1000, 0).unwrap();
 //! assert!(out.complete_at >= 200); // cold miss to DRAM
 //! ```
 
@@ -29,5 +29,5 @@ mod prefetch;
 
 pub use cache::{Cache, CacheConfig};
 pub use coherence::{CohConfig, CohDelivery, CohStats, CoherenceHub, CoreId, LineState, WriteId};
-pub use hierarchy::{AccessKind, AccessOutcome, HitLevel, MemConfig, MemStats, MemorySystem};
+pub use hierarchy::{AccessOutcome, HitLevel, MemConfig, MemStats, MemorySystem};
 pub use prefetch::StreamPrefetcher;

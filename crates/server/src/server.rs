@@ -40,6 +40,7 @@ use crate::protocol::{
 };
 use orinoco_core::{run_sampled, Core, Fleet};
 use orinoco_util::mailbox::Dispatcher;
+use orinoco_util::panic_message;
 use orinoco_verif::{campaign_chunk, ffeq_chunk};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -231,16 +232,6 @@ fn run_primary(
             let _ = tx.send(Response::Failed { job_id, reason });
             std::panic::resume_unwind(payload);
         }
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "job panicked".to_string()
     }
 }
 

@@ -1,5 +1,6 @@
 //! Deterministic utilities shared across the Orinoco workspace: a seeded
-//! PRNG with a `rand`-flavoured API, a miniature property-test harness,
+//! PRNG with a `rand`-flavoured API, the raw xorshift64\* and SplitMix64
+//! steps, a panic-payload formatter, a miniature property-test harness,
 //! an order-preserving thread pool, the server's worker mailboxes and a
 //! counting allocator for allocation-regression tests.
 //!
@@ -31,14 +32,43 @@ pub mod prop;
 
 use std::ops::Range;
 
-/// Splits a 64-bit seed into a well-mixed stream (SplitMix64); used to
-/// initialise the xoshiro state so that nearby seeds diverge immediately.
-fn splitmix64(state: &mut u64) -> u64 {
+/// One step of SplitMix64: advances `state` by the golden-ratio increment
+/// and returns its mixed image. It initialises the xoshiro state below
+/// (so nearby seeds diverge immediately) and is the sampler's jitter and
+/// k-means seeding stream.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// One step of xorshift64\*: advances `state` (which must be non-zero) and
+/// returns the scrambled output. It is the simulator's one cheap
+/// per-structure stream: wrong-path synthesis, the warm pollution model,
+/// the issue queue's random picks and TAGE's allocation choice.
+pub fn xorshift64star(state: &mut u64) -> u64 {
+    let mut x = *state;
+    x ^= x >> 12;
+    x ^= x << 25;
+    x ^= x >> 27;
+    *state = x;
+    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+}
+
+/// The text of a caught panic's payload: the `&str` or `String` that
+/// `panic!` carried, or `"non-string panic payload"` for anything else.
+/// Pass the payload itself (`&*boxed`), not a reference to its box.
+#[must_use]
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
 }
 
 /// Deterministic xoshiro256\*\* PRNG.

@@ -769,19 +769,15 @@ pub fn mcm_campaign(
     let done = AtomicU64::new(0);
     let units: Vec<McmUnit> = parallel_map(jobs, &seeds, |_, &pseed| {
         let unit = with_quiet_panics(|| {
-            std::panic::catch_unwind(|| mcm_unit(pseed)).unwrap_or_else(|p| {
-                let msg = p
-                    .downcast_ref::<&str>()
-                    .map(ToString::to_string)
-                    .or_else(|| p.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "opaque panic".to_string());
-                McmUnit {
-                    pseed,
-                    events: 0,
-                    installs: 0,
-                    withheld: 0,
-                    violation: Some(McmViolation { axiom: "panic", detail: msg }),
-                }
+            std::panic::catch_unwind(|| mcm_unit(pseed)).unwrap_or_else(|p| McmUnit {
+                pseed,
+                events: 0,
+                installs: 0,
+                withheld: 0,
+                violation: Some(McmViolation {
+                    axiom: "panic",
+                    detail: orinoco_util::panic_message(&*p),
+                }),
             })
         });
         progress(done.fetch_add(1, Ordering::Relaxed) + 1, programs);

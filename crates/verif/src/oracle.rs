@@ -251,16 +251,6 @@ impl CosimReport {
     }
 }
 
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// The cosim step-and-check loop on an already-prepared DUT core. Panics
 /// out of the pipeline unwind through this function — callers wrap it in
 /// `catch_unwind` and translate the payload to [`Divergence::DutPanic`].
@@ -305,8 +295,9 @@ fn cosim_loop(core: &mut Core, golden: Emulator, opts: &CosimOptions) -> CosimRe
 
 /// The report for a DUT that panicked before producing one.
 fn panic_report(payload: Box<dyn std::any::Any + Send>, opts: &CosimOptions) -> CosimReport {
+    let message = orinoco_util::panic_message(&*payload);
     CosimReport {
-        divergence: Some(Divergence::DutPanic { message: panic_message(payload) }),
+        divergence: Some(Divergence::DutPanic { message }),
         cycles: 0,
         committed: 0,
         ooo_commits: 0,

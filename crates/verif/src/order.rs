@@ -19,9 +19,9 @@
 //! Units are pure functions of the program seed, so the parallel campaign
 //! merges in seed order and prints the same findings as a serial run.
 
-use crate::oracle::panic_message;
 use crate::{gen, program_seeds, tiny};
 use orinoco_core::{CommitKind, Core, CoreConfig, SchedulerKind};
+use orinoco_util::panic_message;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Cycle budget per run; a run that exceeds it is reported as a failure.
@@ -110,7 +110,7 @@ fn checked_run(pseed: u64, mut cfg: CoreConfig) -> Result<(u64, u64), (u64, Stri
         }
         (cycle, core.stats().committed)
     }))
-    .map_err(|p| (cycle, panic_message(p)))
+    .map_err(|p| (cycle, panic_message(&*p)))
 }
 
 /// Runs the order-oracle campaign over `programs` fuzz programs derived

@@ -255,15 +255,7 @@ pub fn run_traced(pseed: u64, inject: Option<u64>) -> TracedRun {
         }
         check
     }))
-    .map_err(|payload| {
-        if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        }
-    })
+    .map_err(|payload| orinoco_util::panic_message(&*payload))
 }
 
 /// Aggregate result of a trace-invariant campaign.

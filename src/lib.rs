@@ -12,7 +12,7 @@
 //! |---|---|---|
 //! | [`matrix`] | `orinoco-matrix` | age/commit/disambiguation/lockdown/wakeup matrices |
 //! | [`isa`] | `orinoco-isa` | micro-ISA, program builder, functional emulator |
-//! | [`frontend`] | `orinoco-frontend` | TAGE/gshare/bimodal predictors, BTB, RAS |
+//! | [`frontend`] | `orinoco-frontend` | TAGE predictor, BTB, RAS |
 //! | [`mem`] | `orinoco-mem` | 3-level cache hierarchy, MSHRs, prefetcher |
 //! | [`core`] | `orinoco-core` | the cycle-level OoO pipeline and all policies |
 //! | [`circuit`] | `orinoco-circuit` | PIM 8T-SRAM analytical area/latency/power model |
