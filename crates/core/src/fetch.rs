@@ -12,7 +12,7 @@
 
 use crate::config::CoreConfig;
 use orinoco_frontend::{Btb, DirectionPredictor, ReturnAddressStack, Tage};
-use orinoco_isa::{ArchReg, DynInst, Emulator, HaltReason, InstClass, Opcode};
+use orinoco_isa::{ArchReg, DynInst, Emulator, HaltReason, InstClass, Opcode, Program};
 use orinoco_trace::ReplayStream;
 use orinoco_util::xorshift64star;
 
@@ -270,6 +270,19 @@ impl FetchUnit {
     #[must_use]
     pub fn source(&self) -> &FetchSource {
         &self.src
+    }
+
+    /// Moves the emulator out, leaving an empty program in its place until
+    /// the next [`FetchUnit::reset`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the unit is fed by a trace replay.
+    pub(crate) fn take_emulator(&mut self) -> Emulator {
+        let FetchSource::Live(emu) = &mut self.src else {
+            panic!("trace-replay fetch has no emulator (see FetchUnit::source)");
+        };
+        std::mem::replace(emu, Emulator::new(Program::new(), 8))
     }
 
     /// `true` while fetching down a mispredicted path.

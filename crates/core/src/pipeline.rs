@@ -717,6 +717,17 @@ impl Core {
         self.fetch.emulator()
     }
 
+    /// Moves the emulator out of the core, leaving an empty program in its
+    /// place until the next [`Core::reset`] or [`Core::reset_with`]: a
+    /// finished run hands its program back for reuse.
+    ///
+    /// # Panics
+    ///
+    /// Panics under a trace-replay frontend.
+    pub fn take_emulator(&mut self) -> Emulator {
+        self.fetch.take_emulator()
+    }
+
     /// Read access to the instruction source driving fetch (live emulator
     /// or captured-trace replay).
     #[must_use]

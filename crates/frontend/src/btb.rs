@@ -17,7 +17,6 @@ pub struct Btb {
     /// `sets × ways` entries of `(tag, target, lru)`.
     entries: Vec<Vec<BtbEntry>>,
     set_mask: u64,
-    ways: usize,
     tick: u64,
 }
 
@@ -48,7 +47,6 @@ impl Btb {
                 sets
             ],
             set_mask: sets as u64 - 1,
-            ways,
             tick: 0,
         }
     }
@@ -86,12 +84,6 @@ impl Btb {
             .min_by_key(|e| if e.valid { e.last_used } else { 0 })
             .expect("ways > 0");
         *victim = BtbEntry { tag: pc, target, last_used: tick, valid: true };
-    }
-
-    /// Total capacity in entries.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.entries.len() * self.ways
     }
 
     /// Invalidates every entry in place, keeping the allocation (core
@@ -139,12 +131,6 @@ impl ReturnAddressStack {
         self.stack.pop()
     }
 
-    /// Current depth.
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        self.stack.len()
-    }
-
     /// Empties the stack in place, keeping the allocation (core reset
     /// path).
     pub fn clear(&mut self) {
@@ -186,11 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn capacity_reported() {
-        assert_eq!(Btb::new(256, 4).capacity(), 1024);
-    }
-
-    #[test]
     fn ras_lifo_order() {
         let mut ras = ReturnAddressStack::new(8);
         ras.push(0x100);
@@ -206,7 +187,6 @@ mod tests {
         ras.push(1);
         ras.push(2);
         ras.push(3);
-        assert_eq!(ras.depth(), 2);
         assert_eq!(ras.pop(), Some(3));
         assert_eq!(ras.pop(), Some(2));
         assert_eq!(ras.pop(), None);

@@ -5,7 +5,7 @@
 //! wrong paths, replay loads and squash freely, but the architectural state
 //! it commits must equal what this interpreter computes.
 
-use crate::{ArchReg, InstClass, Opcode, Program, NUM_ARCH_REGS};
+use crate::{ArchReg, Inst, InstClass, Opcode, Program, NUM_ARCH_REGS};
 
 /// One dynamically executed instruction, as consumed by the timing model.
 #[derive(Clone, Debug, PartialEq)]
@@ -282,6 +282,43 @@ impl EmuCheckpoint {
     }
 }
 
+/// Bytes per undo-log page: a marked emulator saves memory at this
+/// granularity before the first store to it after the mark.
+const UNDO_PAGE: usize = 4096;
+
+/// The restore point of a marked emulator ([`Emulator::mark`]): the
+/// architectural state at the mark, and the pre-mark bytes of every page
+/// stored to since.
+#[derive(Clone, Debug)]
+struct UndoLog {
+    regs: [u64; NUM_ARCH_REGS],
+    pc_index: usize,
+    seq: u64,
+    halted: Option<HaltReason>,
+    /// One bit per page, set once the page is saved.
+    saved: Vec<u64>,
+    /// The saved pages, in first-store order.
+    pages: Vec<usize>,
+    /// Their pre-mark bytes, back to back.
+    old: Vec<u8>,
+}
+
+impl UndoLog {
+    /// Saves the page holding `addr` unless it already is. Out of line,
+    /// so that [`Emulator::store_word`] stays small enough to inline.
+    #[inline(never)]
+    fn save_page(&mut self, memory: &[u8], addr: usize) {
+        let page = addr / UNDO_PAGE;
+        let (word, bit) = (page / 64, 1u64 << (page % 64));
+        if self.saved[word] & bit == 0 {
+            self.saved[word] |= bit;
+            self.pages.push(page);
+            let start = page * UNDO_PAGE;
+            self.old.extend_from_slice(&memory[start..memory.len().min(start + UNDO_PAGE)]);
+        }
+    }
+}
+
 /// Architectural-state interpreter for micro-ISA [`Program`]s.
 ///
 /// Memory is a flat byte array; addresses are masked to its (power-of-two)
@@ -304,6 +341,10 @@ impl EmuCheckpoint {
 /// while emu.step().is_some() {}
 /// assert_eq!(emu.reg(x1), 42);
 /// ```
+///
+/// Memory changes only through [`Emulator::store_word`] (and the `St`
+/// instructions that call it), so a marked emulator's undo log sees every
+/// write and [`Emulator::rewind`] is exact.
 #[derive(Clone, Debug)]
 pub struct Emulator {
     program: Program,
@@ -314,6 +355,7 @@ pub struct Emulator {
     seq: u64,
     halted: Option<HaltReason>,
     step_limit: u64,
+    undo: Option<Box<UndoLog>>,
 }
 
 impl Emulator {
@@ -337,6 +379,7 @@ impl Emulator {
             seq: 0,
             halted: None,
             step_limit: u64::MAX,
+            undo: None,
         }
     }
 
@@ -370,11 +413,6 @@ impl Emulator {
         &self.memory
     }
 
-    /// Mutable view of memory, for workload data initialisation.
-    pub fn memory_mut(&mut self) -> &mut [u8] {
-        &mut self.memory
-    }
-
     /// Reads the 8-byte word at (masked, aligned) `addr`.
     #[must_use]
     pub fn load_word(&self, addr: u64) -> u64 {
@@ -382,10 +420,72 @@ impl Emulator {
         u64::from_le_bytes(self.memory[a..a + 8].try_into().expect("aligned read"))
     }
 
-    /// Writes the 8-byte word at (masked, aligned) `addr`.
+    /// Writes the 8-byte word at (masked, aligned) `addr`. On a marked
+    /// emulator, the first write to a page since the mark saves the page.
+    #[inline]
     pub fn store_word(&mut self, addr: u64, value: u64) {
         let a = (addr & self.addr_mask) as usize;
+        if let Some(log) = self.undo.as_deref_mut() {
+            log.save_page(&self.memory, a);
+        }
         self.memory[a..a + 8].copy_from_slice(&value.to_le_bytes());
+    }
+
+    /// Makes the current state the restore point that
+    /// [`Emulator::rewind`] returns to. From here on, the first store to
+    /// each 4 KiB page saves that page's bytes. Marking again moves the
+    /// restore point to the then-current state. A `StepLimit` halt is not
+    /// part of the restore point.
+    pub fn mark(&mut self) {
+        self.undo = Some(Box::new(UndoLog {
+            regs: self.regs,
+            pc_index: self.pc_index,
+            seq: self.seq,
+            halted: self.halted.filter(|&h| h != HaltReason::StepLimit),
+            saved: vec![0; self.memory.len().div_ceil(UNDO_PAGE).div_ceil(64)],
+            pages: Vec::new(),
+            old: Vec::new(),
+        }));
+    }
+
+    /// Returns the emulator to its restore point ([`Emulator::mark`]):
+    /// writes back every page stored to since, restores the registers,
+    /// the next PC, the executed count and the halt state, and clears the
+    /// step limit. The restore point stays, so the emulator can run and
+    /// rewind again; an emulator marked right after it was built is then
+    /// indistinguishable from a fresh build. Costs one page copy per page
+    /// written since the mark.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the emulator was never marked.
+    pub fn rewind(&mut self) {
+        let log = self.undo.as_deref_mut().expect("rewind needs a restore point (Emulator::mark)");
+        let page_len = UNDO_PAGE.min(self.memory.len());
+        for (&page, old) in log.pages.iter().zip(log.old.chunks_exact(page_len)) {
+            self.memory[page * UNDO_PAGE..][..page_len].copy_from_slice(old);
+            log.saved[page / 64] &= !(1 << (page % 64));
+        }
+        log.pages.clear();
+        log.old.clear();
+        self.regs = log.regs;
+        self.pc_index = log.pc_index;
+        self.seq = log.seq;
+        self.halted = log.halted;
+        self.step_limit = u64::MAX;
+    }
+
+    /// Heap bytes the emulator holds: its memory image, its code and, once
+    /// marked, its undo log (saved pages included).
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        let log = self.undo.as_deref().map_or(0, |l| {
+            std::mem::size_of::<UndoLog>()
+                + l.saved.capacity() * 8
+                + l.pages.capacity() * std::mem::size_of::<usize>()
+                + l.old.capacity()
+        });
+        self.memory.capacity() + self.program.len() * std::mem::size_of::<Inst>() + log
     }
 
     /// The canonical (masked, aligned) form of `addr` — the address that
@@ -466,6 +566,7 @@ impl Emulator {
             seq: 0,
             halted: ck.halted.filter(|&h| h != HaltReason::StepLimit),
             step_limit: u64::MAX,
+            undo: None,
         }
     }
 
@@ -943,6 +1044,42 @@ mod tests {
         assert_eq!(forked.executed(), 0);
         let d = forked.step().expect("fork resumes past the step limit");
         assert_eq!(d.seq, 0);
+    }
+
+    #[test]
+    fn rewind_returns_to_the_mark_on_a_sub_page_memory() {
+        let mut b = ProgramBuilder::new();
+        b.li(x(1), 7);
+        b.st(x(1), ArchReg::ZERO, 128);
+        b.halt();
+        let mut emu = Emulator::new(b.build(), 256);
+        emu.store_word(8, 1);
+        emu.mark();
+        emu.set_step_limit(2);
+        emu.run();
+        assert_eq!((emu.load_word(128), emu.halt_reason()), (7, Some(HaltReason::StepLimit)));
+        emu.rewind();
+        assert_eq!((emu.load_word(128), emu.load_word(8), emu.reg(x(1))), (0, 1, 0));
+        assert_eq!((emu.executed(), emu.pc_index(), emu.halt_reason()), (0, 0, None));
+        // The step limit is gone and the mark stays: run to the halt twice.
+        for _ in 0..2 {
+            assert_eq!(emu.run().len(), 3);
+            assert_eq!(emu.halt_reason(), Some(HaltReason::Halted));
+            emu.rewind();
+        }
+        // Marking again moves the restore point.
+        emu.step();
+        emu.step();
+        emu.mark();
+        emu.store_word(8, 2);
+        emu.rewind();
+        assert_eq!((emu.load_word(128), emu.load_word(8), emu.executed()), (7, 1, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "restore point")]
+    fn rewind_without_mark_panics() {
+        store_loop(1).rewind();
     }
 
     #[test]

@@ -38,8 +38,6 @@ pub struct Cache {
     sets: usize,
     line_shift: u32,
     tick: u64,
-    hits: u64,
-    misses: u64,
 }
 
 #[derive(Clone, Copy, Debug, Default)]
@@ -60,8 +58,6 @@ impl Cache {
             line_shift: cfg.line_bytes.trailing_zeros(),
             cfg,
             tick: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -81,19 +77,13 @@ impl Cache {
         (line as usize) & (self.sets - 1)
     }
 
-    /// Probes for `addr`; updates LRU and hit/miss statistics.
+    /// Probes for `addr`; a hit makes its line the most recently used.
     pub fn access(&mut self, addr: u64) -> bool {
         let line = self.line_of(addr);
-        let hit = self.touch_line(line);
-        if hit {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
-        hit
+        self.touch_line(line)
     }
 
-    /// Probes for `addr` without recording statistics (used by prefetch
+    /// Probes for `addr` without touching LRU state (used by prefetch
     /// filtering).
     #[must_use]
     pub fn contains(&self, addr: u64) -> bool {
@@ -153,25 +143,11 @@ impl Cache {
         false
     }
 
-    /// Demand hits so far.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Demand misses so far.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Invalidates every line and zeroes the statistics in place, keeping
-    /// the tag-store allocation (core reset path).
+    /// Invalidates every line in place, keeping the tag-store allocation
+    /// (core reset path).
     pub fn clear(&mut self) {
         self.lines.fill(Line::default());
         self.tick = 0;
-        self.hits = 0;
-        self.misses = 0;
     }
 }
 
@@ -199,8 +175,6 @@ mod tests {
         c.fill(0x100);
         assert!(c.access(0x100));
         assert!(c.access(0x13F)); // same 64B line as 0x100
-        assert_eq!(c.hits(), 2);
-        assert_eq!(c.misses(), 1);
     }
 
     #[test]
@@ -234,12 +208,14 @@ mod tests {
     }
 
     #[test]
-    fn contains_does_not_touch_stats() {
+    fn contains_does_not_touch_lru() {
         let mut c = small();
-        c.fill(0x40);
-        let (h, m) = (c.hits(), c.misses());
-        assert!(c.contains(0x40));
+        // Line 0 is the older of set 0's two lines; probing it with
+        // `contains` must leave it the eviction victim.
+        c.fill(0);
+        c.fill(4 * 64);
+        assert!(c.contains(0));
         assert!(!c.contains(0x540));
-        assert_eq!((c.hits(), c.misses()), (h, m));
+        assert_eq!(c.fill(8 * 64), Some(0));
     }
 }

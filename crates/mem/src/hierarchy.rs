@@ -237,12 +237,6 @@ impl MemorySystem {
         a | b | c
     }
 
-    /// Number of MSHRs currently busy at cycle `now`.
-    pub fn mshrs_busy(&mut self, now: u64) -> usize {
-        self.reclaim_mshrs(now);
-        self.outstanding.len()
-    }
-
     /// Earliest cycle at which an outstanding miss completes, or `None`
     /// when no miss is in flight. Completed-but-unreclaimed entries are
     /// included; callers filtering for *future* events must discard values
@@ -407,14 +401,6 @@ mod tests {
     }
 
     #[test]
-    fn mshrs_busy_reclaims() {
-        let mut mem = MemorySystem::new(no_prefetch());
-        mem.access(0x0, 0).unwrap();
-        assert_eq!(mem.mshrs_busy(10), 1);
-        assert_eq!(mem.mshrs_busy(1000), 0);
-    }
-
-    #[test]
     fn next_completion_cycle_tracks_outstanding_min() {
         let mut mem = MemorySystem::new(no_prefetch());
         assert_eq!(mem.next_completion_cycle(), None);
@@ -424,9 +410,9 @@ mod tests {
             mem.next_completion_cycle(),
             Some(a.complete_at.min(b.complete_at))
         );
-        // Reclaiming (via mshrs_busy) drops completed entries.
-        mem.mshrs_busy(a.complete_at.max(b.complete_at) + 1);
-        assert_eq!(mem.next_completion_cycle(), None);
+        // The next L1 miss reclaims every completed entry, leaving its own.
+        let c = mem.access(0x10000, a.complete_at.max(b.complete_at) + 1).unwrap();
+        assert_eq!(mem.next_completion_cycle(), Some(c.complete_at));
     }
 
     #[test]

@@ -63,7 +63,6 @@ pub struct StreamPrefetcher {
     mru: usize,
     depth: u64,
     line_bytes: u64,
-    issued: u64,
 }
 
 impl StreamPrefetcher {
@@ -91,23 +90,15 @@ impl StreamPrefetcher {
             mru: NONE,
             depth,
             line_bytes: 64,
-            issued: 0,
         }
     }
 
-    /// Number of prefetch addresses emitted so far.
-    #[must_use]
-    pub fn issued(&self) -> u64 {
-        self.issued
-    }
-
-    /// Forgets every trained stream and zeroes the counters in place,
-    /// keeping the stream-table allocation (core reset path).
+    /// Forgets every trained stream in place, keeping the stream-table
+    /// allocation (core reset path).
     pub fn reset(&mut self) {
         self.valid = 0;
         self.lru = NONE;
         self.mru = NONE;
-        self.issued = 0;
     }
 
     /// Observes a demand access to `addr` and returns the byte addresses to
@@ -145,7 +136,6 @@ impl StreamPrefetcher {
                 (1..=self.depth)
                     .map(|k| (line as i64 + stride * k as i64).max(0) as u64 * self.line_bytes),
             );
-            self.issued += out.len() as u64;
         }
         self.reindex(i, old_line, line);
         self.touch(i);
@@ -252,7 +242,6 @@ mod tests {
             emitted.extend(pf.on_access(i * 64));
         }
         assert!(emitted.contains(&(3 * 64)));
-        assert!(pf.issued() > 0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! over unit, negative and odd strides, interleaved walkers, repeated
 //! lines, random lines and near misses, at stream counts below, at and
 //! above the hierarchy's 64, with `reset` mid-run. Every access's
-//! candidates must match, and so must `issued()` at the end.
+//! candidates must match.
 
 use orinoco_mem::StreamPrefetcher;
 use orinoco_util::Rng;
@@ -36,7 +36,6 @@ struct ScanPrefetcher {
     streams: Vec<Stream>,
     depth: u64,
     tick: u64,
-    issued: u64,
 }
 
 impl ScanPrefetcher {
@@ -45,14 +44,12 @@ impl ScanPrefetcher {
             streams: vec![EMPTY; streams],
             depth,
             tick: 0,
-            issued: 0,
         }
     }
 
     fn reset(&mut self) {
         self.streams.fill(EMPTY);
         self.tick = 0;
-        self.issued = 0;
     }
 
     fn on_access_into(&mut self, addr: u64, out: &mut Vec<u64>) {
@@ -90,7 +87,6 @@ impl ScanPrefetcher {
                         (1..=self.depth)
                             .map(|k| (line as i64 + stride * k as i64).max(0) as u64 * 64),
                     );
-                    self.issued += out.len() as u64;
                 }
             }
             None => {
@@ -180,11 +176,6 @@ fn drive(seed: u64, streams: usize, depth: u64, accesses: u64, span: u64) -> u64
         );
         candidates += got.len() as u64;
     }
-    assert_eq!(
-        dut.issued(),
-        oracle.issued,
-        "seed {seed}, {streams} streams"
-    );
     candidates
 }
 
@@ -223,6 +214,5 @@ fn lines_near_zero_and_the_top_of_memory_match() {
             };
             line = next;
         }
-        assert_eq!(dut.issued(), oracle.issued);
     }
 }

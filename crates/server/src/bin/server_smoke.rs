@@ -1,6 +1,9 @@
 //! CI smoke driver: a 3-client concurrent mini-sweep through the
 //! in-process client, diffed byte-for-byte against serial one-shot
-//! results, plus a round-trip over the real TCP transport.
+//! results; a one-worker phase in which each of the sweep's four programs
+//! serves both configurations at two instruction budgets from the
+//! worker's program cache, diffed the same way; and a round-trip over the
+//! real TCP transport.
 //!
 //! Exits non-zero on any mismatch, so the `server-smoke` CI job is a
 //! plain `cargo run --release -p orinoco-server --bin server_smoke`.
@@ -15,7 +18,7 @@ use std::process::ExitCode;
 
 /// The mini-sweep: a handful of (workload, config) points, small enough
 /// for CI, varied enough to cross scheduler/commit kinds and seeds.
-fn sweep() -> Vec<SimSpec> {
+fn sweep(max_instrs: u64) -> Vec<SimSpec> {
     let orinoco = ConfigSpec::orinoco_base();
     let ioc = ConfigSpec {
         scheduler: SchedulerKind::Age,
@@ -35,7 +38,7 @@ fn sweep() -> Vec<SimSpec> {
                 workload: w,
                 scale: 1,
                 seed,
-                max_instrs: 20_000,
+                max_instrs,
                 max_cycles: 0,
                 progress_cycles: 0,
             });
@@ -45,7 +48,7 @@ fn sweep() -> Vec<SimSpec> {
 }
 
 fn main() -> ExitCode {
-    let specs = sweep();
+    let specs = sweep(20_000);
 
     // Reference: the exact computation the one-shot sweep binaries do.
     let serial: Vec<_> = specs
@@ -102,6 +105,36 @@ fn main() -> ExitCode {
     );
     if cache.misses > specs.len() as u64 {
         eprintln!("MISMATCH: more computations ({}) than distinct jobs ({})", cache.misses, specs.len());
+        failed = true;
+    }
+
+    // One worker, so every program's later jobs reuse (rewind) the one
+    // its first job built.
+    let short = sweep(5_000);
+    let short_serial: Vec<_> =
+        short.iter().map(|s| run_one_shot(s).expect("serial one-shot reference failed")).collect();
+    let one = Server::new(1);
+    let client = one.client();
+    for (s, want) in specs.iter().chain(&short).zip(serial.iter().chain(&short_serial)) {
+        match client.run(JobSpec::Sim(*s)) {
+            Ok(JobResult::Sim(got)) if got == *want => {}
+            other => {
+                eprintln!(
+                    "MISMATCH one-worker ({} seed {} budget {}):\n server {other:?}\n serial {want:?}",
+                    s.workload, s.seed, s.max_instrs
+                );
+                failed = true;
+            }
+        }
+    }
+    let p = one.program_stats();
+    let jobs = (specs.len() + short.len()) as u64;
+    println!(
+        "one-worker phase: {jobs} jobs, program builds={} hits={} evictions={}",
+        p.builds, p.hits, p.evictions
+    );
+    if p.builds != 4 || p.hits != jobs - 4 {
+        eprintln!("MISMATCH: expected one build per program (4), got {p:?}");
         failed = true;
     }
 

@@ -8,7 +8,9 @@
 //! * **Dispatch** — jobs shard across worker threads through the
 //!   strict-FIFO-per-queue mailbox dispatcher
 //!   ([`orinoco_util::mailbox`]); each worker keeps a warm
-//!   [`orinoco_core::Fleet`] so core construction amortises across jobs.
+//!   [`orinoco_core::Fleet`] so core construction amortises across jobs,
+//!   and a budgeted cache of rewindable programs so a sweep builds each
+//!   program once per worker, not once per job ([`programs`]).
 //! * **Dedup + cache** — completed results are cached under a canonical
 //!   hash of the job spec ([`protocol::JobSpec::cache_key`]); concurrent
 //!   identical submissions compute once and everyone gets byte-identical
@@ -30,11 +32,13 @@
 pub mod cache;
 pub mod digest;
 pub mod net;
+pub mod programs;
 pub mod protocol;
 pub mod server;
 
 pub use cache::{CacheStats, ResultCache};
 pub use net::{TcpClient, TcpFront};
+pub use programs::{ProgramStats, PROGRAM_BUDGET_BYTES};
 pub use protocol::{
     ChunkSpec, ConfigSpec, JobResult, JobSpec, Preset, Request, Response, SampleSpec,
     SampledResult, SimResult, SimSpec, WireError,
