@@ -7,13 +7,15 @@
 //! * **validation-buffer size** — the post-commit execution capacity
 //!   behind VB;
 //! * **banked dispatch** — the §4.3 one-write-port-per-bank constraint
-//!   with load-balanced steering;
+//!   under the one steering policy the core runs (`Rob::alloc_banked`:
+//!   the latest-freed ROB slot in a bank not yet written this cycle),
+//!   with the conflict stalls it caused;
 //! * **MSHRs** — how memory-level parallelism headroom scales the
 //!   out-of-order-commit gain;
 //! * **prefetcher** — stream prefetching on/off under both commit
 //!   policies.
 
-use orinoco_bench::{geomean_row, ipc, speedup_rows};
+use orinoco_bench::{geomean_row, ipc, run, speedup_rows};
 use orinoco_core::{CommitKind, CoreConfig};
 use orinoco_stats::TextTable;
 use orinoco_workloads::Workload;
@@ -41,7 +43,10 @@ fn main() {
 }
 
 fn split_iq() {
-    println!("Ablation: unified vs split per-type IQs (§5), all 12 kernels");
+    println!(
+        "Ablation: unified vs split per-type IQs (§5), all {} kernels",
+        Workload::ALL.len()
+    );
     let baseline = CoreConfig::base();
     let rows = speedup_rows(&baseline, &[CoreConfig::base().with_split_iq()]);
     let g = geomean_row(&rows);
@@ -88,9 +93,17 @@ fn vb_size() {
 }
 
 fn banked_dispatch() {
-    println!("Ablation: multibank dispatch steering (§4.3), all 12 kernels");
-    let baseline = CoreConfig::base();
-    let rows = speedup_rows(&baseline, &[CoreConfig::base().with_banked_dispatch()]);
+    println!(
+        "Ablation: multibank dispatch steering (§4.3; each dispatch takes the latest-freed \
+         ROB slot in a bank not yet written this cycle), all {} kernels",
+        Workload::ALL.len()
+    );
+    let banked = CoreConfig::base().with_banked_dispatch();
+    let rows = speedup_rows(&CoreConfig::base(), std::slice::from_ref(&banked));
+    let stalls: u64 = Workload::ALL
+        .iter()
+        .map(|&w| run(w, banked.clone()).bank_conflict_stalls)
+        .sum();
     let g = geomean_row(&rows);
     let worst = rows
         .iter()
@@ -100,7 +113,12 @@ fn banked_dispatch() {
         "banked vs unconstrained dispatch: geomean {:.4} (worst {}: {:.4})",
         g[0], worst.0, worst.1[0]
     );
-    println!("(load-balanced steering makes the single write port per bank nearly free)");
+    println!("bank-conflict stalls over all kernels: {stalls}");
+    println!(
+        "(the banks split the ROB's physical slots, twice its logical entries; with no \
+         conflict stall the rule refused no dispatch, and the IPC differences come only \
+         from which slot it picks)"
+    );
     println!();
 }
 

@@ -250,7 +250,8 @@ pub struct CoreConfig {
     pub commit_depth: Option<usize>,
     /// Model the §4.3 multibank write-port constraint on the ROB age
     /// matrix: at most one dispatch per bank per cycle, with `width`
-    /// horizontal banks and load-balanced steering.
+    /// horizontal banks over the ROB's physical slots
+    /// ([`crate::Rob::alloc_banked`]).
     pub banked_dispatch: bool,
     /// Use separate per-FU-type issue queues instead of the unified IQ
     /// (§5: "separate IQs ... divide and conquer the monolithic

@@ -12,88 +12,12 @@
 
 use crate::config::CoreConfig;
 use orinoco_frontend::{Btb, DirectionPredictor, ReturnAddressStack, Tage};
-use orinoco_isa::{ArchReg, DynInst, Emulator, HaltReason, InstClass, Opcode, Program};
-use orinoco_trace::ReplayStream;
+use orinoco_isa::{ArchReg, DynInst, Emulator, InstClass, Opcode, Program};
 use orinoco_util::xorshift64star;
 
 /// Sequence-number base for wrong-path instructions: larger than any
 /// correct-path sequence, so age comparisons remain sound.
 pub const WRONG_PATH_SEQ_BASE: u64 = 1 << 62;
-
-/// Where the correct-path instruction stream comes from: the live
-/// functional emulator (fetch+emulate as the oracle) or a replayed
-/// `ORTRACE1` capture (trace-driven frontend). Both expose the same
-/// stepping surface, so the pipeline behaves identically — a replayed run
-/// is cycle-for-cycle equal to the live run it was captured from.
-// One FetchSource lives per core (never in bulk collections), so the
-// Live/Replay size gap costs nothing; boxing would tax every live step.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum FetchSource {
-    /// Live fetch: the emulator executes the program as fetch consumes it.
-    Live(Emulator),
-    /// Trace replay: the recorded stream of a previous (or offline)
-    /// execution.
-    Replay(ReplayStream),
-}
-
-impl FetchSource {
-    fn step(&mut self) -> Option<DynInst> {
-        match self {
-            FetchSource::Live(emu) => emu.step(),
-            FetchSource::Replay(rs) => rs.step(),
-        }
-    }
-
-    /// Why the stream ended, once it has.
-    #[must_use]
-    pub fn halt_reason(&self) -> Option<HaltReason> {
-        match self {
-            FetchSource::Live(emu) => emu.halt_reason(),
-            FetchSource::Replay(rs) => rs.halt_reason(),
-        }
-    }
-
-    /// Correct-path instructions produced so far.
-    #[must_use]
-    pub fn executed(&self) -> u64 {
-        match self {
-            FetchSource::Live(emu) => emu.executed(),
-            FetchSource::Replay(rs) => rs.executed(),
-        }
-    }
-
-    /// The canonical (masked, aligned) form of `addr` for the program's
-    /// memory size.
-    #[must_use]
-    pub fn canonical_addr(&self, addr: u64) -> u64 {
-        match self {
-            FetchSource::Live(emu) => emu.canonical_addr(addr),
-            FetchSource::Replay(rs) => rs.canonical_addr(addr),
-        }
-    }
-
-    /// The live emulator, if this source is one.
-    #[must_use]
-    pub fn emulator(&self) -> Option<&Emulator> {
-        match self {
-            FetchSource::Live(emu) => Some(emu),
-            FetchSource::Replay(_) => None,
-        }
-    }
-}
-
-impl From<Emulator> for FetchSource {
-    fn from(emu: Emulator) -> Self {
-        FetchSource::Live(emu)
-    }
-}
-
-impl From<ReplayStream> for FetchSource {
-    fn from(rs: ReplayStream) -> Self {
-        FetchSource::Replay(rs)
-    }
-}
 
 /// The front end's trained predictor structures — the TAGE direction
 /// predictor, BTB and return-address stack — and the one place they are
@@ -207,7 +131,7 @@ pub struct FetchStats {
 
 /// The fetch unit.
 pub struct FetchUnit {
-    src: FetchSource,
+    emu: Emulator,
     pushback: Vec<DynInst>,
     frontend: FrontendWarm,
     /// Sequence number of the unresolved mispredicted branch, if fetch is
@@ -220,13 +144,12 @@ pub struct FetchUnit {
 }
 
 impl FetchUnit {
-    /// Creates a fetch unit over `src` — a live emulator or a replayed
-    /// capture — with cold predictors and the wrong-path stream seeded
-    /// from `cfg.seed`.
+    /// Creates a fetch unit over `emu` with cold predictors and the
+    /// wrong-path stream seeded from `cfg.seed`.
     #[must_use]
-    pub fn new(src: impl Into<FetchSource>, cfg: &CoreConfig) -> Self {
+    pub fn new(emu: Emulator, cfg: &CoreConfig) -> Self {
         Self {
-            src: src.into(),
+            emu,
             pushback: Vec::new(),
             frontend: FrontendWarm::new(),
             wrong_path_owner: None,
@@ -248,41 +171,20 @@ impl FetchUnit {
     #[must_use]
     pub fn drained(&self) -> bool {
         self.pushback.is_empty()
-            && self.src.halt_reason().is_some()
+            && self.emu.halt_reason().is_some()
             && self.wrong_path_owner.is_none()
     }
 
     /// Read access to the underlying emulator (architectural oracle).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the unit is fed by a trace replay — a capture carries no
-    /// architectural state. Use [`FetchUnit::source`] when the frontend
-    /// kind is not statically known.
     #[must_use]
     pub fn emulator(&self) -> &Emulator {
-        self.src
-            .emulator()
-            .expect("trace-replay fetch has no emulator (see FetchUnit::source)")
-    }
-
-    /// Read access to the instruction source driving fetch.
-    #[must_use]
-    pub fn source(&self) -> &FetchSource {
-        &self.src
+        &self.emu
     }
 
     /// Moves the emulator out, leaving an empty program in its place until
     /// the next [`FetchUnit::reset`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the unit is fed by a trace replay.
     pub(crate) fn take_emulator(&mut self) -> Emulator {
-        let FetchSource::Live(emu) = &mut self.src else {
-            panic!("trace-replay fetch has no emulator (see FetchUnit::source)");
-        };
-        std::mem::replace(emu, Emulator::new(Program::new(), 8))
+        std::mem::replace(&mut self.emu, Emulator::new(Program::new(), 8))
     }
 
     /// `true` while fetching down a mispredicted path.
@@ -299,12 +201,12 @@ impl FetchUnit {
         self.stall_until
     }
 
-    /// Rebinds the unit to a fresh instruction source (emulator or replay)
-    /// and returns every predictor structure to its post-construction
-    /// state, keeping all allocations (core reset path). `cfg` must be the
-    /// configuration the unit was built with.
-    pub fn reset(&mut self, src: impl Into<FetchSource>, cfg: &CoreConfig) {
-        self.src = src.into();
+    /// Rebinds the unit to a fresh emulator and returns every predictor
+    /// structure to its post-construction state, keeping all allocations
+    /// (core reset path). `cfg` must be the configuration the unit was
+    /// built with.
+    pub fn reset(&mut self, emu: Emulator, cfg: &CoreConfig) {
+        self.emu = emu;
         self.pushback.clear();
         self.frontend.reset();
         self.wrong_path_owner = None;
@@ -339,10 +241,10 @@ impl FetchUnit {
         let src2 = Some(ArchReg::int(1 + (r >> 24) as u8 % 30));
         let (op, class, mem_addr, dst, src2) = if let Some(addr) = wrong_path_load(r) {
             // wrong-path load: pollutes caches and MSHRs realistically
-            let addr = self.src.canonical_addr(addr);
+            let addr = self.emu.canonical_addr(addr);
             (Opcode::Ld, InstClass::Load, Some(addr), dst, None)
         } else if pick < 32 {
-            let addr = self.src.canonical_addr(r >> 17);
+            let addr = self.emu.canonical_addr(r >> 17);
             (Opcode::St, InstClass::Store, Some(addr), None, src2)
         } else if pick < 40 {
             (Opcode::Mul, InstClass::IntMul, None, dst, src2)
@@ -368,7 +270,7 @@ impl FetchUnit {
     fn next_correct_path(&mut self) -> Option<DynInst> {
         match self.pushback.pop() {
             Some(d) => Some(d),
-            None => self.src.step(),
+            None => self.emu.step(),
         }
     }
 

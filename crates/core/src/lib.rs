@@ -58,21 +58,18 @@ pub use config::{
     exec_latency, is_unpipelined, CommitKind, CoreConfig, FuPools, Pool, SchedulerKind,
 };
 pub use crit::CriticalityEngine;
-pub use fetch::{FetchSource, FetchStats, FetchUnit, Fetched, FrontendWarm};
+pub use fetch::{FetchStats, FetchUnit, Fetched, FrontendWarm};
 pub use fleet::Fleet;
 pub use iq::{IqEntry, IssueQueue};
 pub use lsq::{LoadSearch, Lsq};
 pub use pipeline::{CohEvent, CommitEvent, Core, WarmState};
 pub use sample::{
-    cluster_bbvs, collect_bbvs, run_sampled, run_sampled_spill, IntervalSample, SampleConfig,
-    SampledStats, DEFAULT_JITTER_SEED, DEFAULT_MAX_CYCLES_PER_INTERVAL,
+    cluster_bbvs, collect_bbvs, run_sampled, IntervalSample, SampleConfig, SampledStats,
+    DEFAULT_JITTER_SEED, DEFAULT_MAX_CYCLES_PER_INTERVAL,
 };
 pub use system::{System, SystemConfig, SystemStats};
 pub use orinoco_stats::{StallCause, StallTaxonomy};
-pub use orinoco_trace::{
-    capture_program, CaptureWriter, ReplayStream, TraceEventKind, TraceRecord, Tracer,
-    CAPTURE_SECTION, STALL_SEQ,
-};
+pub use orinoco_trace::{TraceEventKind, TraceRecord, Tracer, STALL_SEQ};
 pub use rename::{PhysReg, RenameUnit};
 pub use rob::{Rob, RobEntry};
 pub use stats::SimStats;

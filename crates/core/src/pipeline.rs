@@ -330,15 +330,14 @@ impl WarmState {
 }
 
 impl Core {
-    /// Builds a core over the given instruction source: an emulator
-    /// (program + data already initialised) or a [`crate::ReplayStream`] of a
-    /// captured run (trace-driven frontend).
+    /// Builds a core that fetches from `emu` (program and data already
+    /// initialised).
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid.
     #[must_use]
-    pub fn new(src: impl Into<crate::fetch::FetchSource>, cfg: CoreConfig) -> Self {
+    pub fn new(emu: Emulator, cfg: CoreConfig) -> Self {
         if let Err(e) = cfg.validate() {
             panic!("invalid core configuration: {e}");
         }
@@ -347,7 +346,7 @@ impl Core {
             .uses_criticality()
             .then(CriticalityEngine::new);
         Self {
-            fetch: FetchUnit::new(src, &cfg),
+            fetch: FetchUnit::new(emu, &cfg),
             fq: VecDeque::new(),
             rename: RenameUnit::new(cfg.phys_regs),
             rob: Rob::new(cfg.rob_entries),
@@ -418,73 +417,11 @@ impl Core {
     /// state — is restored to pristine, so a run after `reset` is
     /// byte-identical to a run on a freshly built core. Commit tracing
     /// and lifecycle tracing stay enabled (their buffers are cleared);
-    /// an armed fault injector is disarmed. Accepts any instruction source
-    /// ([`Core::new`]): an emulator or a captured-trace replay.
-    pub fn reset(&mut self, src: impl Into<crate::fetch::FetchSource>) {
-        self.reset_inner(src.into());
-    }
-
-    /// Like [`Core::reset`], but under a new configuration that may carry
-    /// a different RNG `seed`. Everything else must match
-    /// ([`CoreConfig::same_shape`]): the sized structures are reused as
-    /// they are, and `reset` re-derives every seeded state (wrong-path
-    /// RNG, predictors) from the new configuration. Behaviourally
-    /// equivalent to `Core::new(emu, cfg)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` is not same-shape with the core's configuration.
-    pub fn reset_with(&mut self, emu: Emulator, cfg: CoreConfig) {
-        assert!(
-            self.cfg.same_shape(&cfg),
-            "reset_with requires a same-shape configuration (have {}, got {})",
-            self.cfg.name,
-            cfg.name,
-        );
-        self.cfg = cfg;
-        self.reset_inner(emu.into());
-    }
-
-    /// Snapshots the *warm* microarchitectural state — cache contents,
-    /// prefetcher training, direction predictor, BTB and RAS — for
-    /// [`Core::apply_warm_state`] to reinstate on a reset core.
-    /// Pipeline-transient structures (ROB, IQs, LSQ, matrices, rename
-    /// tables) are deliberately excluded: they are empty at any interval
-    /// boundary and refill within a few hundred instructions of detailed
-    /// warmup, whereas caches and predictors take millions — exactly the
-    /// long-lived state interval sampling must not lose between samples.
-    #[must_use]
-    pub fn save_warm_state(&self) -> WarmState {
-        WarmState {
-            mem: self.mem.warm_snapshot(),
-            frontend: self.fetch.warm_snapshot(),
-            addr_mask: self.fetch.source().canonical_addr(u64::MAX),
-            rng: 0x005E_ED0F_0913_C0DE | 1,
-            wp_depth: None,
-            inst_count: 0,
-            reg_ready: [0; orinoco_isa::NUM_ARCH_REGS],
-        }
-    }
-
-    /// Reinstates a warm-state snapshot onto an already-reset core, such
-    /// as the one a [`crate::fleet::Fleet::with_lane`] handout passes in
-    /// (the handout performs the reset). Calling this on a core that has
-    /// run cycles since its last reset leaves pipeline-transient state
-    /// inconsistent with the warmed image; only call it reset-fresh.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot was taken under a different memory
-    /// configuration.
-    pub fn apply_warm_state(&mut self, warm: &WarmState) {
-        self.mem.restore_warm(&warm.mem);
-        self.fetch.restore_warm(&warm.frontend);
-    }
-
-    fn reset_inner(&mut self, src: crate::fetch::FetchSource) {
+    /// an armed fault injector is disarmed.
+    pub fn reset(&mut self, emu: Emulator) {
         self.now = 0;
         self.steps = 0;
-        self.fetch.reset(src, &self.cfg);
+        self.fetch.reset(emu, &self.cfg);
         self.fq.clear();
         self.rename.reset();
         self.rob.reset();
@@ -535,6 +472,63 @@ impl Core {
         self.cyc_ready_before = 0;
         self.cyc_quiet = true;
         self.cyc_stall_cause = None;
+    }
+
+    /// Like [`Core::reset`], but under a new configuration that may carry
+    /// a different RNG `seed`. Everything else must match
+    /// ([`CoreConfig::same_shape`]): the sized structures are reused as
+    /// they are, and `reset` re-derives every seeded state (wrong-path
+    /// RNG, predictors) from the new configuration. Behaviourally
+    /// equivalent to `Core::new(emu, cfg)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` is not same-shape with the core's configuration.
+    pub fn reset_with(&mut self, emu: Emulator, cfg: CoreConfig) {
+        assert!(
+            self.cfg.same_shape(&cfg),
+            "reset_with requires a same-shape configuration (have {}, got {})",
+            self.cfg.name,
+            cfg.name,
+        );
+        self.cfg = cfg;
+        self.reset(emu);
+    }
+
+    /// Snapshots the *warm* microarchitectural state — cache contents,
+    /// prefetcher training, direction predictor, BTB and RAS — for
+    /// [`Core::apply_warm_state`] to reinstate on a reset core.
+    /// Pipeline-transient structures (ROB, IQs, LSQ, matrices, rename
+    /// tables) are deliberately excluded: they are empty at any interval
+    /// boundary and refill within a few hundred instructions of detailed
+    /// warmup, whereas caches and predictors take millions — exactly the
+    /// long-lived state interval sampling must not lose between samples.
+    #[must_use]
+    pub fn save_warm_state(&self) -> WarmState {
+        WarmState {
+            mem: self.mem.warm_snapshot(),
+            frontend: self.fetch.warm_snapshot(),
+            addr_mask: self.fetch.emulator().canonical_addr(u64::MAX),
+            rng: 0x005E_ED0F_0913_C0DE | 1,
+            wp_depth: None,
+            inst_count: 0,
+            reg_ready: [0; orinoco_isa::NUM_ARCH_REGS],
+        }
+    }
+
+    /// Reinstates a warm-state snapshot onto an already-reset core, such
+    /// as the one a [`crate::fleet::Fleet::with_lane`] handout passes in
+    /// (the handout performs the reset). Calling this on a core that has
+    /// run cycles since its last reset leaves pipeline-transient state
+    /// inconsistent with the warmed image; only call it reset-fresh.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the snapshot was taken under a different memory
+    /// configuration.
+    pub fn apply_warm_state(&mut self, warm: &WarmState) {
+        self.mem.restore_warm(&warm.mem);
+        self.fetch.restore_warm(&warm.frontend);
     }
 
     /// The configuration.
@@ -673,7 +667,7 @@ impl Core {
     /// instruction must commit exactly once.
     pub fn finalize_run_stats(&mut self) {
         // Every correct-path instruction committed exactly once.
-        let n = self.fetch.source().executed();
+        let n = self.fetch.emulator().executed();
         assert_eq!(self.committed_count, n, "commit count diverged");
         let want: u128 = (n as u128) * (n as u128 - 1) / 2;
         assert_eq!(self.committed_seq_sum, want, "commit sequence checksum diverged");
@@ -707,11 +701,6 @@ impl Core {
     /// pipeline drains, this holds the final architectural state the
     /// pipeline committed — the object a differential checker compares
     /// against an independently-run golden model.
-    ///
-    /// # Panics
-    ///
-    /// Panics under a trace-replay frontend (a capture carries no
-    /// architectural state); use [`Core::source`] there.
     #[must_use]
     pub fn emulator(&self) -> &Emulator {
         self.fetch.emulator()
@@ -720,19 +709,8 @@ impl Core {
     /// Moves the emulator out of the core, leaving an empty program in its
     /// place until the next [`Core::reset`] or [`Core::reset_with`]: a
     /// finished run hands its program back for reuse.
-    ///
-    /// # Panics
-    ///
-    /// Panics under a trace-replay frontend.
     pub fn take_emulator(&mut self) -> Emulator {
         self.fetch.take_emulator()
-    }
-
-    /// Read access to the instruction source driving fetch (live emulator
-    /// or captured-trace replay).
-    #[must_use]
-    pub fn source(&self) -> &crate::fetch::FetchSource {
-        self.fetch.source()
     }
 
     /// Turns on the commit-event trace: every subsequent architectural

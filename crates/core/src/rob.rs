@@ -202,10 +202,12 @@ impl Rob {
     }
 
     /// Allocates like [`Rob::alloc`] but honouring the single-write-port-
-    /// per-bank constraint: the chosen slot's bank must not be in
-    /// `used_banks`. Returns the entry back (`Err`) on logical exhaustion
-    /// **or** when every free slot lies in an already-written bank (a
-    /// dispatch port conflict), so the caller can stash it without cloning.
+    /// per-bank constraint of §4.3: takes the latest-freed free slot whose
+    /// bank ([`Rob::bank_of`], one `used_banks` flag per bank) is not yet
+    /// written this cycle. Returns the entry back (`Err`) on logical
+    /// exhaustion **or** when every free slot lies in an already-written
+    /// bank (a dispatch port conflict), so the caller can stash it without
+    /// cloning.
     // Returning the entry by value on failure is the point: the caller
     // stashes it without a clone, so the wide Err variant stays.
     #[allow(clippy::result_large_err)]
@@ -219,8 +221,6 @@ impl Rob {
             return Err(entry);
         }
         let nbanks = used_banks.len();
-        // Prefer the emptiest eligible bank (load balancing, §4.3);
-        // approximation: latest-freed slot in any eligible bank.
         let Some(pos) = self
             .free
             .iter()

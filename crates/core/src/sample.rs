@@ -10,8 +10,7 @@
 //!   (tens of millions of instructions per second, no timing model)
 //!   between sample points.
 //! * **Detailed intervals** — at each sample point the master is
-//!   checkpointed ([`EmuCheckpoint`]; in memory, or as an `ORCKPT1`
-//!   file under [`run_sampled_spill`]), a worker restores the
+//!   checkpointed in memory ([`EmuCheckpoint`]), a worker restores the
 //!   checkpoint onto a pooled core,
 //!   **W** warmup instructions refill the pipeline/caches/predictors,
 //!   then the next **D** instructions are measured with the machine still
@@ -101,7 +100,6 @@ use orinoco_isa::{EmuCheckpoint, Emulator, Program};
 use orinoco_stats::{StallCause, StallTaxonomy};
 use orinoco_util::pool::{default_jobs, ordered_pipeline_map};
 use orinoco_util::splitmix64;
-use std::path::{Path, PathBuf};
 
 /// Default stratified-placement seed ([`SampleConfig::jitter_seed`]).
 pub const DEFAULT_JITTER_SEED: u64 = 0x0913_0C0D_E5EE_D001;
@@ -698,24 +696,13 @@ pub fn cluster_bbvs(bbvs: &[Vec<f64>], k: usize, seed: u64) -> Vec<(usize, u64)>
     reps
 }
 
-/// A materialized sample point: the checkpoint (held as a struct in
-/// memory, or spilled to disk as an `ORCKPT1` file), the warm image
+/// A materialized sample point: the in-memory checkpoint, the warm image
 /// cloned at the fork point, and the estimator bookkeeping.
 struct SamplePoint {
-    payload: CkptPayload,
+    ck: EmuCheckpoint,
     warm: Option<WarmState>,
     start_inst: u64,
     weight: u64,
-}
-
-/// In-memory sample points skip the `ORCKPT1` encode/decode round trip —
-/// it is lossless by construction (property-tested in the isa crate) and
-/// costs two extra full-memory copies plus two checksum passes per
-/// interval, which at dense geometries dominates the sampler's runtime.
-/// The spill path pays it to get durable, corruption-rejecting files.
-enum CkptPayload {
-    Mem(Box<EmuCheckpoint>),
-    File(PathBuf),
 }
 
 /// What one detailed interval reports back for the ordered merge.
@@ -728,7 +715,7 @@ struct IntervalOut {
     tax: StallTaxonomy,
 }
 
-/// One detailed interval on a pooled lane: decode the checkpoint, revive
+/// One detailed interval on a pooled lane: restore the checkpoint, revive
 /// a core over it, apply the warm image, run warmup then the measured
 /// window. Panics propagate out of [`Fleet::with_lane`] with the lane
 /// discarded; the caller retries once on a fresh core.
@@ -740,15 +727,7 @@ fn run_interval(
     pt: &SamplePoint,
     chaos: bool,
 ) -> IntervalOut {
-    let loaded;
-    let ck = match &pt.payload {
-        CkptPayload::Mem(c) => c,
-        CkptPayload::File(p) => {
-            loaded = EmuCheckpoint::read_file(p).expect("sampler-spilled checkpoint must decode");
-            &loaded
-        }
-    };
-    let emu = Emulator::restore(program.clone(), ck);
+    let emu = Emulator::restore(program.clone(), &pt.ck);
     fleet.with_lane(cfg.clone(), emu, |c| {
         if let Some(w) = &pt.warm {
             c.apply_warm_state(w);
@@ -797,35 +776,6 @@ fn run_interval(
 /// interval, or if the program exceeds ~`u64::MAX` instructions.
 #[must_use]
 pub fn run_sampled(emu: Emulator, cfg: CoreConfig, scfg: &SampleConfig) -> SampledStats {
-    run_sampled_impl(emu, cfg, scfg, None)
-}
-
-/// [`run_sampled`] with checkpoints spilled to `ORCKPT1` files under
-/// `dir` (which must exist) instead of held in memory — the
-/// lowest-footprint mode for huge programs with sparse sample points,
-/// and the on-disk materialization path: the files left behind are valid
-/// [`EmuCheckpoint::read_file`] inputs. Estimates are byte-identical to
-/// the in-memory path.
-///
-/// # Panics
-///
-/// As [`run_sampled`], plus on checkpoint file I/O errors.
-#[must_use]
-pub fn run_sampled_spill(
-    emu: Emulator,
-    cfg: CoreConfig,
-    scfg: &SampleConfig,
-    dir: &Path,
-) -> SampledStats {
-    run_sampled_impl(emu, cfg, scfg, Some(dir))
-}
-
-fn run_sampled_impl(
-    emu: Emulator,
-    cfg: CoreConfig,
-    scfg: &SampleConfig,
-    spill: Option<&Path>,
-) -> SampledStats {
     if let Err(e) = scfg.validate() {
         panic!("{e}");
     }
@@ -945,19 +895,10 @@ fn run_sampled_impl(
         // the image aligned with the full-run trajectory (no
         // double-training, no staleness).
         let ck = master.checkpoint();
-        let payload = match spill {
-            None => CkptPayload::Mem(Box::new(ck)),
-            Some(dir) => {
-                let path = dir.join(format!("ckpt-{produced:06}.orckpt"));
-                ck.write_file(&path)
-                    .unwrap_or_else(|e| panic!("spill checkpoint to {}: {e}", path.display()));
-                CkptPayload::File(path)
-            }
-        };
         produced += 1;
         plan_pos += 1;
         Some(SamplePoint {
-            payload,
+            ck,
             warm: warm.clone(),
             start_inst,
             weight,

@@ -282,8 +282,8 @@ fn banked_dispatch_runs_and_costs_little() {
         Workload::ExchangeLike,
         CoreConfig::base().with_banked_dispatch(),
     );
-    // §4.3: load-balanced steering makes the single-port-per-bank
-    // constraint nearly free.
+    // §4.3: the single write port per bank costs almost nothing here,
+    // because the banks split the ROB's physical slots.
     assert!(
         banked.ipc() >= plain.ipc() * 0.97,
         "banked {} vs plain {}",

@@ -18,6 +18,11 @@
 //! * `any_grant_orinoco()` equals `!grants_orinoco(1).is_empty()`;
 //! * `from_seq_into` equals a naive filter-and-sort of the model.
 //!
+//! Each banked dispatch also checks the §4.3 write-port rule: a granted
+//! slot lies in a bank the cycle has not written yet (the banks split the
+//! physical slots evenly), and a refusal means the logical ROB is full or
+//! every free physical slot lies in a written bank.
+//!
 //! Logical capacities 31/32/33/64/65 put the physical slot count (twice
 //! the logical one) on both sides of the 64-bit word boundary.
 
@@ -86,6 +91,8 @@ struct Coverage {
     same_slot_refetch: u64,
     /// `head` calls made while the oldest live entry was a `SPEC` zombie.
     spec_zombie_heads: u64,
+    /// Banked dispatches refused with logical room left (a port conflict).
+    bank_conflicts: u64,
 }
 
 impl Model {
@@ -143,7 +150,23 @@ fn step(rng: &mut Rng, rob: &mut Rob, model: &mut Model, phys: usize, cov: &mut 
             } else {
                 let nbanks = [2, 4][rng.gen_range(0..2)];
                 let used: Vec<bool> = (0..nbanks).map(|_| rng.gen_bool(0.5)).collect();
-                rob.alloc_banked(entry(seq), spec, &used).ok()
+                let bank = |slot: usize| slot * nbanks / phys;
+                let got = rob.alloc_banked(entry(seq), spec, &used).ok();
+                if let Some(slot) = got {
+                    let b = bank(slot);
+                    assert!(!used[b], "slot {slot} is in bank {b}, already written");
+                } else {
+                    let full = model.live.iter().filter(|e| !e.retired).count() == phys / 2;
+                    let open = (0..phys)
+                        .filter(|&s| model.live.iter().all(|e| e.slot != s))
+                        .any(|s| !used[bank(s)]);
+                    assert!(
+                        full || !open,
+                        "refused with logical room and a free slot in an unwritten bank"
+                    );
+                    cov.bank_conflicts += u64::from(!full);
+                }
+                got
             };
             if let Some(slot) = slot {
                 assert!(slot < phys, "slot {slot} beyond the physical ROB");
@@ -277,4 +300,5 @@ fn linked_walk_matches_rebuilt_matrix_under_churn() {
     assert!(cov.blocked > 0, "no SPEC bit ever held back a completed entry");
     assert!(cov.same_slot_refetch > 0, "no refetch reused its squashed slot");
     assert!(cov.spec_zombie_heads > 0, "no head call behind a SPEC zombie");
+    assert!(cov.bank_conflicts > 0, "no banked dispatch ever met a port conflict");
 }

@@ -1,11 +1,9 @@
 //! Parallel and phase-clustered sampling invariants: byte-identical
 //! output across thread counts (including under injected worker panics),
-//! spill-to-disk ≡ in-memory checkpoints, BBV/k-means clustering
-//! properties, phase-mode accuracy, and estimates pinned bit for bit.
+//! BBV/k-means clustering properties, phase-mode accuracy, and estimates
+//! pinned bit for bit.
 
-use orinoco_core::sample::{
-    cluster_bbvs, collect_bbvs, run_sampled, run_sampled_spill, SampleConfig, SampledStats,
-};
+use orinoco_core::sample::{cluster_bbvs, collect_bbvs, run_sampled, SampleConfig, SampledStats};
 use orinoco_core::{CommitKind, Core, CoreConfig, SchedulerKind, StallCause};
 use orinoco_isa::Emulator;
 use orinoco_workloads::{long_program, phased_program, Workload};
@@ -90,26 +88,6 @@ fn worker_panic_discards_lane_and_retries_deterministically() {
         );
         assert_identical(&clean, &chaotic, &format!("chaos threads={threads}"));
     }
-}
-
-#[test]
-fn spill_to_disk_equals_in_memory() {
-    let dir = std::env::temp_dir().join(format!("orinoco-spill-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create spill dir");
-    let in_mem = run_sampled(workload(), orinoco(), &scfg().with_threads(4));
-    let spilled = run_sampled_spill(workload(), orinoco(), &scfg().with_threads(4), &dir);
-    assert_identical(&in_mem, &spilled, "spill");
-    // The spill directory holds one decodable ORCKPT1 file per interval.
-    let mut files: Vec<_> = std::fs::read_dir(&dir)
-        .expect("read spill dir")
-        .map(|e| e.expect("dir entry").path())
-        .collect();
-    files.sort();
-    assert_eq!(files.len(), in_mem.intervals.len());
-    for f in &files {
-        orinoco_isa::EmuCheckpoint::read_file(f).expect("spilled checkpoint decodes");
-    }
-    std::fs::remove_dir_all(&dir).expect("cleanup spill dir");
 }
 
 #[test]

@@ -78,27 +78,6 @@ pub struct ArchSnapshot {
     pub executed: u64,
 }
 
-/// Magic prefix of the serialized [`EmuCheckpoint`] format.
-pub const CHECKPOINT_MAGIC: [u8; 8] = *b"ORCKPT01";
-
-/// Magic prefix of the on-disk `ORCKPT1` checkpoint-file container
-/// (seven bytes; the eighth byte of the header is the format version).
-pub const CHECKPOINT_FILE_MAGIC: [u8; 7] = *b"ORCKPT1";
-
-/// Current `ORCKPT1` container version.
-pub const CHECKPOINT_FILE_VERSION: u8 = 1;
-
-/// FNV-1a over `bytes` (the container checksum; `orinoco-isa` is
-/// dependency-free, so the hash lives here too).
-fn ckpt_fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// A restorable architectural checkpoint: everything the emulator needs to
 /// resume mid-program except the (static, regenerable) [`Program`] itself.
 ///
@@ -123,163 +102,6 @@ pub struct EmuCheckpoint {
     /// restore (the limit was a capture artefact, not program state);
     /// `Halted`/`RanOff` are.
     pub halted: Option<HaltReason>,
-}
-
-fn halt_to_byte(h: Option<HaltReason>) -> u8 {
-    match h {
-        None => 0,
-        Some(HaltReason::Halted) => 1,
-        Some(HaltReason::RanOff) => 2,
-        Some(HaltReason::StepLimit) => 3,
-    }
-}
-
-fn halt_from_byte(b: u8) -> Result<Option<HaltReason>, String> {
-    Ok(match b {
-        0 => None,
-        1 => Some(HaltReason::Halted),
-        2 => Some(HaltReason::RanOff),
-        3 => Some(HaltReason::StepLimit),
-        other => return Err(format!("bad halt byte {other}")),
-    })
-}
-
-impl EmuCheckpoint {
-    /// Serializes the checkpoint: magic, fixed-width LE header, register
-    /// file, raw memory image.
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + 8 * 3 + 1 + 8 * NUM_ARCH_REGS + self.memory.len());
-        out.extend_from_slice(&CHECKPOINT_MAGIC);
-        out.extend_from_slice(&(self.pc_index as u64).to_le_bytes());
-        out.extend_from_slice(&self.executed.to_le_bytes());
-        out.extend_from_slice(&(self.memory.len() as u64).to_le_bytes());
-        out.push(halt_to_byte(self.halted));
-        for r in &self.regs {
-            out.extend_from_slice(&r.to_le_bytes());
-        }
-        out.extend_from_slice(&self.memory);
-        out
-    }
-
-    /// Decodes a checkpoint serialized by [`EmuCheckpoint::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a framing error naming the first malformed field.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let take_u64 = |data: &[u8], off: usize, what: &str| -> Result<u64, String> {
-            data.get(off..off + 8)
-                .map(|s| u64::from_le_bytes(s.try_into().expect("8 bytes")))
-                .ok_or_else(|| format!("checkpoint truncated at {what}"))
-        };
-        let magic = bytes.get(..8).ok_or("checkpoint shorter than magic")?;
-        if magic != CHECKPOINT_MAGIC {
-            return Err("bad checkpoint magic".to_owned());
-        }
-        let pc_index = take_u64(bytes, 8, "pc_index")? as usize;
-        let executed = take_u64(bytes, 16, "executed")?;
-        let mem_len = take_u64(bytes, 24, "memory length")? as usize;
-        let halted = halt_from_byte(*bytes.get(32).ok_or("checkpoint truncated at halt byte")?)?;
-        let mut regs = [0u64; NUM_ARCH_REGS];
-        for (i, r) in regs.iter_mut().enumerate() {
-            *r = take_u64(bytes, 33 + 8 * i, "register file")?;
-        }
-        let mem_off = 33 + 8 * NUM_ARCH_REGS;
-        let memory = bytes
-            .get(mem_off..mem_off + mem_len)
-            .ok_or("checkpoint truncated in memory image")?
-            .to_vec();
-        if !mem_len.is_power_of_two() || mem_len < 8 {
-            return Err(format!("bad checkpoint memory size {mem_len}"));
-        }
-        if bytes.len() != mem_off + mem_len {
-            return Err("trailing bytes after checkpoint memory image".to_owned());
-        }
-        Ok(Self { regs, memory, pc_index, executed, halted })
-    }
-
-    /// Serializes the checkpoint into the on-disk `ORCKPT1` container:
-    /// `magic · version · u64 payload-length · payload · u64
-    /// FNV-1a(payload)`, where the payload is [`EmuCheckpoint::to_bytes`].
-    /// The container follows the wire-protocol discipline: a file is
-    /// either exactly one verified checkpoint or an error — truncation,
-    /// bit flips, trailing bytes and unknown versions are all rejected
-    /// before the payload is interpreted.
-    #[must_use]
-    pub fn to_file_bytes(&self) -> Vec<u8> {
-        let payload = self.to_bytes();
-        let mut out = Vec::with_capacity(payload.len() + 24);
-        out.extend_from_slice(&CHECKPOINT_FILE_MAGIC);
-        out.push(CHECKPOINT_FILE_VERSION);
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out.extend_from_slice(&ckpt_fnv64(&payload).to_le_bytes());
-        out
-    }
-
-    /// Decodes an `ORCKPT1` container produced by
-    /// [`EmuCheckpoint::to_file_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error naming the first malformed field: bad magic,
-    /// unknown version, truncated header/payload/checksum, checksum
-    /// mismatch (any flipped bit), declared-length mismatch, trailing
-    /// bytes, or a malformed inner payload.
-    pub fn from_file_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let magic = bytes.get(..7).ok_or("checkpoint file shorter than magic")?;
-        if magic != CHECKPOINT_FILE_MAGIC {
-            return Err("bad checkpoint file magic".to_owned());
-        }
-        let version = *bytes.get(7).ok_or("checkpoint file truncated at version")?;
-        if version != CHECKPOINT_FILE_VERSION {
-            return Err(format!("unknown checkpoint file version {version}"));
-        }
-        let len = bytes
-            .get(8..16)
-            .map(|s| u64::from_le_bytes(s.try_into().expect("8 bytes")))
-            .ok_or("checkpoint file truncated at payload length")?;
-        let payload_end = 16usize
-            .checked_add(usize::try_from(len).map_err(|_| "impossible payload length")?)
-            .ok_or("impossible payload length")?;
-        let payload = bytes
-            .get(16..payload_end)
-            .ok_or("checkpoint file truncated in payload")?;
-        let sum = bytes
-            .get(payload_end..payload_end + 8)
-            .map(|s| u64::from_le_bytes(s.try_into().expect("8 bytes")))
-            .ok_or("checkpoint file truncated at checksum")?;
-        if sum != ckpt_fnv64(payload) {
-            return Err("checkpoint file checksum mismatch".to_owned());
-        }
-        if bytes.len() != payload_end + 8 {
-            return Err("trailing bytes after checkpoint file".to_owned());
-        }
-        Self::from_bytes(payload)
-    }
-
-    /// Writes the checkpoint to `path` as an `ORCKPT1` container file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the filesystem.
-    pub fn write_file(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_file_bytes())
-    }
-
-    /// Reads and verifies an `ORCKPT1` container file written by
-    /// [`EmuCheckpoint::write_file`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error rendered as a string, or any
-    /// [`EmuCheckpoint::from_file_bytes`] rejection.
-    pub fn read_file(path: &std::path::Path) -> Result<Self, String> {
-        let bytes = std::fs::read(path)
-            .map_err(|e| format!("reading checkpoint file {}: {e}", path.display()))?;
-        Self::from_file_bytes(&bytes)
-    }
 }
 
 /// Bytes per undo-log page: a marked emulator saves memory at this
@@ -1010,30 +832,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_bytes_roundtrip() {
-        let mut emu = store_loop(12);
-        for _ in 0..20 {
-            emu.step();
-        }
-        let ck = emu.checkpoint();
-        let decoded = EmuCheckpoint::from_bytes(&ck.to_bytes()).expect("roundtrip");
-        assert_eq!(decoded, ck);
-    }
-
-    #[test]
-    fn checkpoint_bytes_reject_corruption() {
-        let ck = store_loop(3).checkpoint();
-        let good = ck.to_bytes();
-        assert!(EmuCheckpoint::from_bytes(&good[..10]).is_err());
-        let mut bad_magic = good.clone();
-        bad_magic[0] ^= 0xFF;
-        assert!(EmuCheckpoint::from_bytes(&bad_magic).is_err());
-        let mut trailing = good;
-        trailing.push(0);
-        assert!(EmuCheckpoint::from_bytes(&trailing).is_err());
-    }
-
-    #[test]
     fn fork_rebased_clears_step_limit_halt() {
         let mut emu = store_loop(40);
         emu.set_step_limit(10);
@@ -1080,14 +878,5 @@ mod tests {
     #[should_panic(expected = "restore point")]
     fn rewind_without_mark_panics() {
         store_loop(1).rewind();
-    }
-
-    #[test]
-    fn opcode_byte_roundtrip() {
-        for (i, op) in Opcode::ALL.iter().enumerate() {
-            assert_eq!(op.as_u8() as usize, i);
-            assert_eq!(Opcode::from_u8(op.as_u8()), Some(*op));
-        }
-        assert_eq!(Opcode::from_u8(Opcode::ALL.len() as u8), None);
     }
 }

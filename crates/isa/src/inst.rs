@@ -162,10 +162,8 @@ pub enum Opcode {
 }
 
 impl Opcode {
-    /// Every opcode, in declaration order. The position of an opcode in
-    /// this table is its stable byte encoding in the `ORTRACE1` capture
-    /// format ([`Opcode::from_u8`] is the inverse), so new opcodes must be
-    /// appended, never inserted.
+    /// Every opcode, in declaration order: an opcode's position here is
+    /// its discriminant.
     pub const ALL: [Opcode; 35] = [
         Opcode::Add,
         Opcode::Sub,
@@ -203,18 +201,6 @@ impl Opcode {
         Opcode::Nop,
         Opcode::Halt,
     ];
-
-    /// The opcode's position in [`Opcode::ALL`] — its capture-format byte.
-    #[must_use]
-    pub fn as_u8(self) -> u8 {
-        self as u8
-    }
-
-    /// Inverse of [`Opcode::as_u8`]; `None` for out-of-range bytes.
-    #[must_use]
-    pub fn from_u8(byte: u8) -> Option<Opcode> {
-        Opcode::ALL.get(byte as usize).copied()
-    }
 
     /// Functional-unit class of the opcode.
     #[must_use]

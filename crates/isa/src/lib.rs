@@ -45,10 +45,7 @@ mod program;
 mod reg;
 
 pub use asm::{assemble, disassemble, AsmError};
-pub use emulator::{
-    ArchSnapshot, DynInst, EmuCheckpoint, Emulator, HaltReason, CHECKPOINT_FILE_MAGIC,
-    CHECKPOINT_FILE_VERSION, CHECKPOINT_MAGIC,
-};
+pub use emulator::{ArchSnapshot, DynInst, EmuCheckpoint, Emulator, HaltReason};
 pub use inst::{Inst, InstClass, Opcode};
 pub use program::{Label, Program, ProgramBuilder};
 pub use reg::{ArchReg, NUM_ARCH_REGS, NUM_FP_REGS, NUM_INT_REGS};

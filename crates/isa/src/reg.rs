@@ -64,18 +64,6 @@ impl ArchReg {
         self.0 as usize
     }
 
-    /// Inverse of [`ArchReg::index`]: reconstructs a register from its
-    /// folded-namespace index (capture-format decode).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= 64`.
-    #[must_use]
-    pub fn from_index(i: usize) -> Self {
-        assert!(i < NUM_ARCH_REGS, "register index {i} out of range");
-        ArchReg(i as u8)
-    }
-
     /// `true` for a floating-point register.
     #[must_use]
     pub fn is_fp(self) -> bool {

@@ -20,8 +20,6 @@
 //! * [`LockdownMatrix`] and [`LockdownTable`] — non-speculative load→load
 //!   reordering under TSO (§3.3).
 //! * [`WakeupMatrix`] — CAM-free IQ wakeup (§3.4).
-//! * [`BankAllocator`] — the dispatch-steering constraint of the
-//!   multibanked SRAM implementation (§4.3).
 //!
 //! The physical PIM implementation of these matrices (8T SRAM bit-line
 //! computing) is modelled separately in the `orinoco-circuit` crate; here
@@ -36,9 +34,13 @@
 //!   program order in a linked list (ROB) and a `(!critical, seq)` key
 //!   (IQ), and its order checks rebuild these matrices from the live
 //!   entries to confirm both.
-//! * [`CommitDepMatrix`], [`WakeupMatrix`] and [`BankAllocator`] are
-//!   standalone models of the paper's designs, checked by this crate's
-//!   tests; no simulated path uses them.
+//! * [`CommitDepMatrix`] and [`WakeupMatrix`] are standalone models of
+//!   the paper's designs, checked by this crate's tests; no simulated
+//!   path uses them.
+//! * The multibank write-port constraint of §4.3 (one dispatch per bank
+//!   per cycle) is not a matrix: the core models it as a slot-steering
+//!   rule in its ROB (`Rob::alloc_banked`, under
+//!   `CoreConfig::banked_dispatch`).
 //!
 //! # Example: ordered issue out of a random queue
 //!
@@ -66,7 +68,6 @@
 #![warn(clippy::all)]
 
 mod age;
-mod bank;
 mod bitvec;
 mod commit;
 mod lockdown;
@@ -75,7 +76,6 @@ mod memdis;
 mod wakeup;
 
 pub use age::AgeMatrix;
-pub use bank::BankAllocator;
 pub use bitvec::{BitVec64, IterOnes, IterOnesAnd};
 pub use commit::{CommitDepMatrix, CommitScheduler};
 pub use lockdown::{LockdownMatrix, LockdownTable};

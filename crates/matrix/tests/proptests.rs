@@ -6,8 +6,7 @@
 //! executes 256 deterministic cases and prints a replay seed on failure.
 
 use orinoco_matrix::{
-    AgeMatrix, BankAllocator, BitMatrix, BitVec64, CommitDepMatrix, CommitScheduler,
-    WakeupMatrix,
+    AgeMatrix, BitMatrix, BitVec64, CommitDepMatrix, CommitScheduler, WakeupMatrix,
 };
 use orinoco_util::{prop, Rng};
 
@@ -394,37 +393,6 @@ fn wakeup_matches_dataflow() {
             }
         }
         assert!(issued.iter().all(|&b| b));
-    });
-}
-
-/// Bank steering: grants are free, bank-disjoint, and maximal
-/// (min(want, number of banks holding a free entry)).
-#[test]
-fn bank_steering_is_maximal_matching() {
-    prop::check("bank_steering_is_maximal_matching", 0xA9EA, |rng| {
-        let n = 32;
-        let free_bits: Vec<bool> = (0..n).map(|_| rng.gen::<bool>()).collect();
-        let want = rng.gen_range(0..8usize);
-        let banks = rng.gen_range(1..8usize);
-        let alloc = BankAllocator::new(n, banks);
-        let free = BitVec64::from_indices(n, (0..n).filter(|&i| free_bits[i]));
-        let grants = alloc.steer(&free, want);
-        // all free
-        for &g in &grants {
-            assert!(free.get(g));
-        }
-        // bank-disjoint
-        let mut used: Vec<usize> = grants.iter().map(|&g| alloc.bank_of(g)).collect();
-        used.sort_unstable();
-        let len_before = used.len();
-        used.dedup();
-        assert_eq!(used.len(), len_before);
-        // maximal
-        let mut nonempty = std::collections::HashSet::new();
-        for i in free.iter_ones() {
-            nonempty.insert(alloc.bank_of(i));
-        }
-        assert_eq!(grants.len(), want.min(nonempty.len()));
     });
 }
 

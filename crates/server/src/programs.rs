@@ -94,7 +94,8 @@ impl ProgramCache {
     ///
     /// # Panics
     ///
-    /// Panics if the scale is zero (`Workload::build`).
+    /// Panics if the scale is zero (`Workload::build`); keys made from a
+    /// spec have had their scale checked.
     pub(crate) fn checkout(&mut self, key: ProgramKey) -> Emulator {
         if let Some(i) = self.parked.iter().position(|p| p.key == key) {
             let p = self.parked.remove(i);

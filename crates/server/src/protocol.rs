@@ -1,12 +1,10 @@
 //! The campaign server's wire protocol: length-prefixed, checksummed
 //! frames carrying a small closed set of request/response messages.
 //!
-//! The encoding follows the `EmuCheckpoint` discipline from
-//! `orinoco-isa` (DESIGN.md §13): fixed magic, little-endian fixed-width
-//! integers, an explicit error for every way a frame can be short,
-//! unknown-tag rejection, and a trailing-bytes check so a frame is either
-//! exactly one message or an error — never a prefix that happens to
-//! parse. On top of that, every frame ends in an FNV-1a checksum of the
+//! The encoding uses a fixed magic, little-endian fixed-width integers,
+//! an explicit error for every way a frame can be short, unknown-tag
+//! rejection, and a trailing-bytes check so a frame is either exactly one
+//! message or an error — never a prefix that happens to parse. On top of that, every frame ends in an FNV-1a checksum of the
 //! payload, so a flipped bit anywhere in transit is detected before the
 //! payload is even looked at. The round-trip/corruption property tests in
 //! `tests/protocol_props.rs` fuzz every message type through this module.
@@ -197,6 +195,22 @@ fn to_tag<T: Copy + PartialEq>(all: &[T], value: T) -> u8 {
     all.iter().position(|v| *v == value).expect("value missing from ALL array") as u8
 }
 
+/// The `Workload::build` scale a spec's `scale` names: at least 1 and at
+/// most `u32::MAX`. Both spec decoders and every path that builds a
+/// spec's program check here, so an in-process job is refused exactly
+/// like a decoded one instead of panicking in `Workload::build` or
+/// truncating to another scale.
+///
+/// # Errors
+///
+/// `scale` is 0 or above `u32::MAX`.
+pub(crate) fn workload_scale(scale: u64) -> Result<u32, String> {
+    u32::try_from(scale)
+        .ok()
+        .filter(|&s| s >= 1)
+        .ok_or_else(|| format!("scale {scale} is outside 1..={}", u32::MAX))
+}
+
 // ---------------------------------------------------------------------------
 // Frames
 // ---------------------------------------------------------------------------
@@ -383,9 +397,7 @@ impl SimSpec {
             max_cycles: r.u64("max_cycles")?,
             progress_cycles: r.u64("progress_cycles")?,
         };
-        if spec.scale == 0 || spec.scale > u64::from(u32::MAX) {
-            return Err(WireError::BadValue("scale"));
-        }
+        workload_scale(spec.scale).map_err(|_| WireError::BadValue("scale"))?;
         Ok(spec)
     }
 }
@@ -503,9 +515,7 @@ impl SampleSpec {
             phases: r.u64("phases")?,
             threads: r.u64("threads")?,
         };
-        if spec.scale == 0 || spec.scale > u64::from(u32::MAX) {
-            return Err(WireError::BadValue("scale"));
-        }
+        workload_scale(spec.scale).map_err(|_| WireError::BadValue("scale"))?;
         Ok(spec)
     }
 }

@@ -41,7 +41,8 @@ use crate::programs::{
     ProgramCache, ProgramCounters, ProgramKey, ProgramStats, PROGRAM_BUDGET_BYTES,
 };
 use crate::protocol::{
-    fnv64, JobResult, JobSpec, Response, SampleSpec, SampledResult, SimResult, SimSpec,
+    fnv64, workload_scale, JobResult, JobSpec, Response, SampleSpec, SampledResult, SimResult,
+    SimSpec,
 };
 use orinoco_core::{run_sampled, Core, Fleet};
 use orinoco_isa::Emulator;
@@ -257,9 +258,9 @@ fn run_primary(
     }
 }
 
-/// The program a [`SimSpec`] runs.
-fn program_key(spec: &SimSpec) -> ProgramKey {
-    (spec.workload, spec.seed, spec.scale as u32)
+/// The program a [`SimSpec`] runs, or why its scale names none.
+fn program_key(spec: &SimSpec) -> Result<ProgramKey, String> {
+    Ok((spec.workload, spec.seed, workload_scale(spec.scale)?))
 }
 
 /// Sets the step limit a [`SimSpec`] asks for.
@@ -319,9 +320,9 @@ fn execute_sim(core: &mut Core, spec: &SimSpec, mut progress: impl FnMut(u64, u6
 /// Server-side sim execution: the program comes out of the worker's
 /// program cache and the core out of its warm fleet, and both go back
 /// after the run; a panicking run drops both (`Fleet::with_lane`). An
-/// invalid configuration comes back as `Err` (→ a `Failed` response)
-/// before any program or core is touched: a bad spec is a client mistake,
-/// not a poisoned lane.
+/// invalid configuration or scale comes back as `Err` (→ a `Failed`
+/// response) before any program or core is touched: a bad spec is a
+/// client mistake, not a poisoned lane.
 fn run_sim_on_fleet(
     ctx: &mut WorkerCtx,
     spec: &SimSpec,
@@ -329,7 +330,7 @@ fn run_sim_on_fleet(
 ) -> Result<SimResult, String> {
     let cfg = spec.config.to_core_config(spec.seed);
     cfg.validate()?;
-    let key = program_key(spec);
+    let key = program_key(spec)?;
     let mut emu = ctx.programs.checkout(key);
     limit_steps(&mut emu, spec);
     let (result, emu) = ctx.fleet.with_lane(cfg, emu, |core| {
@@ -350,7 +351,7 @@ fn execute_sample(spec: &SampleSpec) -> Result<SampledResult, String> {
     scfg.validate()?;
     let cfg = spec.config.to_core_config(spec.seed);
     cfg.validate()?;
-    let emu = spec.workload.build(spec.seed, spec.scale as u32);
+    let emu = spec.workload.build(spec.seed, workload_scale(spec.scale)?);
     let stats = run_sampled(emu, cfg, &scfg);
     let summary = stats.summary();
     Ok(SampledResult {
@@ -373,12 +374,12 @@ fn execute_sample(spec: &SampleSpec) -> Result<SampledResult, String> {
 ///
 /// # Errors
 ///
-/// An invalid configuration ([`orinoco_core::CoreConfig::validate`]), or
-/// the message of a run that panicked.
+/// An invalid configuration ([`orinoco_core::CoreConfig::validate`]) or
+/// scale (0 or above `u32::MAX`), or the message of a run that panicked.
 pub fn run_one_shot(spec: &SimSpec) -> Result<SimResult, String> {
     let cfg = spec.config.to_core_config(spec.seed);
     cfg.validate()?;
-    let (workload, seed, scale) = program_key(spec);
+    let (workload, seed, scale) = program_key(spec)?;
     let mut emu = workload.build(seed, scale);
     limit_steps(&mut emu, spec);
     catch_unwind(AssertUnwindSafe(|| {

@@ -262,6 +262,33 @@ fn invalid_core_config_fails_politely_over_tcp() {
     front.stop();
 }
 
+/// A scale `Workload::build` cannot take — 0, or more than a `u32` holds
+/// — fails an in-process `Sim` or `Sample` job just as the wire decoder
+/// refuses it: no lane unwinds, and 2^32 + 1 is not run as scale 1 under
+/// a second cache key. The one-shot reference refuses it too instead of
+/// panicking while it builds the program. The last, valid job on the one
+/// worker makes the panic count final before it is read.
+#[test]
+fn out_of_range_scale_fails_politely_in_process() {
+    let server = Server::new(1);
+    let client = server.client();
+    let good = sweep_grid()[0];
+    let sample = SampleSpec::orinoco_base(good.workload);
+    for scale in [0, 1 << 32, (1 << 32) + 1] {
+        let want = format!("scale {scale} is outside");
+        let bad = SimSpec { scale, ..good };
+        let reason = run_one_shot(&bad).expect_err("one-shot must refuse the scale");
+        assert!(reason.contains(&want), "unhelpful reason: {reason}");
+        for spec in [JobSpec::Sim(bad), JobSpec::Sample(SampleSpec { scale, ..sample })] {
+            let reason = client.run(spec).expect_err("an out-of-range scale must fail");
+            assert!(reason.contains(&want), "unhelpful reason: {reason}");
+        }
+    }
+    let r = client.run(JobSpec::Sim(good)).expect("valid job after the failures");
+    assert_eq!(r, JobResult::Sim(run_one_shot(&good).expect("reference")));
+    assert_eq!(server.job_panics(), 0, "a bad scale must not unwind a lane");
+}
+
 /// A `Sample` job asking for more worker threads than
 /// `SampleConfig::MAX_THREADS` is refused by validation before the
 /// sampler starts any thread: the job gets `Failed`, no worker unwinds,

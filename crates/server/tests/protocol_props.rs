@@ -1,6 +1,5 @@
-//! Wire-protocol round-trip and corruption-rejection property tests,
-//! mirroring the `EmuCheckpoint` style (DESIGN.md §13): every message
-//! type encode/decodes losslessly, every truncation is an explicit
+//! Wire-protocol round-trip and corruption-rejection property tests:
+//! every message type encode/decodes losslessly, every truncation is an explicit
 //! error, every bit flip is detected, trailing bytes are rejected, and
 //! unknown tags never panic.
 

@@ -38,11 +38,9 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-mod capture;
 mod konata;
 mod ring;
 mod sink;
 
-pub use capture::{capture_program, CaptureWriter, ReplayStream, CAPTURE_SECTION};
 pub use ring::{TraceEventKind, TraceRecord, Tracer, STALL_SEQ};
 pub use sink::{read_binary, BINARY_MAGIC, BINARY_RECORD_BYTES};

@@ -41,8 +41,10 @@ pub type ConfigMaker = fn() -> CoreConfig;
 /// The schedulers with an age-ordered select (AGE, MULT and both CRI
 /// variants under in-order or Orinoco commit), plain Orinoco, and the
 /// depth-8 commit window of §6.2, each at the Base shape and the tiny
-/// one.
-pub const CONFIGS: [(&str, ConfigMaker); 12] = [
+/// one; and tiny Orinoco under the §4.3 one-write-port-per-bank rule,
+/// whose `Rob::alloc_banked` takes slots out of the free list's LIFO
+/// order.
+pub const CONFIGS: [(&str, ConfigMaker); 13] = [
     ("age-ioc", || base(SchedulerKind::Age, CommitKind::InOrder)),
     ("mult-ioc", || base(SchedulerKind::Mult, CommitKind::InOrder)),
     ("cri-age-ioc", || base(SchedulerKind::CriAge, CommitKind::InOrder)),
@@ -56,6 +58,9 @@ pub const CONFIGS: [(&str, ConfigMaker); 12] = [
     ("orinoco-tiny", || tiny(base(SchedulerKind::Orinoco, CommitKind::Orinoco))),
     ("orinoco-depth8-tiny", || {
         tiny(base(SchedulerKind::Orinoco, CommitKind::Orinoco)).with_commit_depth(8)
+    }),
+    ("orinoco-banked-tiny", || {
+        tiny(base(SchedulerKind::Orinoco, CommitKind::Orinoco)).with_banked_dispatch()
     }),
 ];
 

@@ -1,15 +1,14 @@
-//! Root-package smoke coverage for the trace-capture / checkpoint /
-//! sampled-simulation stack.
+//! Root-package smoke coverage for the checkpoint / sampled-simulation
+//! stack.
 //!
 //! Tier-1 is `cargo test -q --workspace` (see ROADMAP.md); a bare
 //! `cargo test -q` at the root only runs this package, so the
 //! cross-crate feature seams that matter most are exercised here too —
-//! a plain root test run still smoke-checks capture→replay equivalence,
-//! checkpoint/restore and the sampled estimator end to end.
+//! a plain root test run still smoke-checks checkpoint/restore and the
+//! sampled estimator end to end.
 
 use orinoco::core::sample::{run_sampled, SampleConfig};
-use orinoco::core::{capture_program, CommitKind, Core, CoreConfig, FetchSource, ReplayStream};
-use orinoco::core::SchedulerKind;
+use orinoco::core::{CommitKind, Core, CoreConfig, SchedulerKind};
 use orinoco::isa::{Emulator, HaltReason};
 use orinoco::workloads::{long_program, Workload};
 
@@ -20,32 +19,12 @@ fn orinoco_cfg() -> CoreConfig {
 }
 
 #[test]
-fn captured_trace_replays_to_identical_timing() {
-    let live = Workload::HashjoinLike.build(21, 1);
-    let bytes = capture_program(&mut Workload::HashjoinLike.build(21, 1));
-    let stream = ReplayStream::from_bytes(bytes).expect("valid capture");
-
-    let live_stats = Core::new(live, orinoco_cfg()).run(200_000_000).clone();
-    let mut replay_core = Core::new(stream, orinoco_cfg());
-    let replay_stats = replay_core.run(200_000_000).clone();
-
-    // Replay is not an approximation: identical instruction stream in,
-    // identical cycle count and commit count out.
-    assert_eq!(live_stats.cycles, replay_stats.cycles);
-    assert_eq!(live_stats.committed, replay_stats.committed);
-    assert!(matches!(replay_core.source(), FetchSource::Replay(_)));
-}
-
-#[test]
 fn checkpoint_restore_resumes_mid_program() {
     let mut emu = Workload::XzLike.build(4, 1);
     for _ in 0..50_000 {
         emu.step();
     }
-    let ck = emu.checkpoint();
-    let bytes = ck.to_bytes();
-    let restored = orinoco::isa::EmuCheckpoint::from_bytes(&bytes).expect("valid checkpoint");
-    let mut resumed = Emulator::restore(emu.program().clone(), &restored);
+    let mut resumed = Emulator::restore(emu.program().clone(), &emu.checkpoint());
     let stats = Core::new(resumed.fork_rebased(), orinoco_cfg()).run(200_000_000).clone();
     assert!(stats.committed > 0);
     // The restored emulator finishes the remaining program exactly.
