@@ -59,7 +59,8 @@ pub fn speedup_rows(
     configs: &[CoreConfig],
 ) -> Vec<(String, Vec<f64>)> {
     let jobs = orinoco_util::pool::default_jobs();
-    orinoco_util::pool::parallel_map(jobs, &Workload::ALL, |_, &w| {
+    let mut next = Workload::ALL.into_iter();
+    orinoco_util::pool::ordered_pipeline_map(jobs, |_| (), || next.next(), |(), _, w| {
         let base = ipc(w, baseline.clone());
         let speedups = configs.iter().map(|c| ipc(w, c.clone()) / base).collect();
         (w.name().to_string(), speedups)

@@ -934,9 +934,10 @@ pub fn run_sampled(emu: Emulator, cfg: CoreConfig, scfg: &SampleConfig) -> Sampl
     } else {
         scfg.threads
     };
-    // Capacity bounds how many checkpoints (full memory images) are alive
-    // at once: enough to keep every worker fed plus a little slack.
-    let outs = ordered_pipeline_map(jobs, jobs + 2, |_| Fleet::new(), produce, work);
+    // The pool's queue bound (`jobs + 2`) caps how many checkpoints (full
+    // memory images) are alive at once: enough to keep every worker fed
+    // plus a little slack.
+    let outs = ordered_pipeline_map(jobs, |_| Fleet::new(), produce, work);
 
     let mut intervals = Vec::new();
     let mut detailed_insts = 0u64;

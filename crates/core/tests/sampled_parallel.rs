@@ -90,6 +90,35 @@ fn worker_panic_discards_lane_and_retries_deterministically() {
     }
 }
 
+/// The panic message of a sampled run whose intervals cannot finish in
+/// their 10-cycle budget, at `threads` threads. The run happens on a
+/// helper thread, so a hang fails the test instead of stalling the suite.
+fn overrun_message(threads: usize) -> String {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        let mut cfg = scfg().with_threads(threads);
+        cfg.max_cycles_per_interval = 10;
+        let emu = Workload::ExchangeLike.build(7, 1);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = run_sampled(emu, orinoco(), &cfg);
+        }));
+        let _ = tx.send(r.map_err(|p| orinoco_util::panic_message(&*p)));
+    });
+    let r = rx.recv_timeout(std::time::Duration::from_secs(120)).expect("the sampled run hung");
+    helper.join().expect("the helper thread catches the run's panic");
+    r.expect_err("a 10-cycle interval budget cannot be met")
+}
+
+/// Every worker dies on an overrun interval: the parallel run must end in
+/// the serial run's diagnosis (the first interval's), not a hang or an
+/// opaque payload.
+#[test]
+fn overrun_interval_panics_with_the_serial_message_at_two_threads() {
+    let serial = overrun_message(1);
+    assert!(serial.contains("overran 10 cycles"), "unexpected serial panic: {serial}");
+    assert_eq!(overrun_message(2), serial);
+}
+
 #[test]
 fn phases_cut_intervals_and_track_full_run() {
     // Phase clustering extrapolates each representative window to its

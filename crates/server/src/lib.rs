@@ -1,9 +1,9 @@
-//! `orinoco-server`: simulation-as-a-service for batched campaigns.
+//! `orinoco-server`: simulation-as-a-service for batched sweeps.
 //!
-//! PRs 1–8 left every sweep, verification campaign and ffeq run as a
-//! one-shot binary: each query pays full process/setup cost and nothing
-//! is shared between queries. This crate turns those flows into jobs
-//! against one warm process:
+//! A one-shot sweep binary pays full process and setup cost for every
+//! query and shares nothing between queries. This crate serves the two
+//! kinds of sweep job — `Sim`, one workload run to completion, and
+//! `Sample`, one checkpointed-sampling estimate — from one warm process:
 //!
 //! * **Dispatch** — jobs shard across worker threads through the
 //!   strict-FIFO-per-queue mailbox dispatcher
@@ -20,6 +20,10 @@
 //!   protocol ([`net`], [`protocol`]).
 //! * **Streaming** — long sims report incremental cycle/commit/stall-
 //!   taxonomy progress between submission and completion.
+//!
+//! Verification campaigns are not jobs: `orinoco-verif` shards them over
+//! threads itself (`orinoco_util::pool::ordered_pipeline_map`), and this
+//! crate does not depend on it.
 //!
 //! The ordering and determinism contracts — per-queue FIFO completion
 //! under contention, byte-identical results cached or fresh, serial
@@ -40,7 +44,7 @@ pub use cache::{CacheStats, ResultCache};
 pub use net::{TcpClient, TcpFront};
 pub use programs::{ProgramStats, PROGRAM_BUDGET_BYTES};
 pub use protocol::{
-    ChunkSpec, ConfigSpec, JobResult, JobSpec, Preset, Request, Response, SampleSpec,
-    SampledResult, SimResult, SimSpec, WireError,
+    ConfigSpec, JobResult, JobSpec, Preset, Request, Response, SampleSpec, SampledResult,
+    SimResult, SimSpec, WireError,
 };
 pub use server::{run_one_shot, Client, Server};

@@ -21,7 +21,6 @@ use orinoco_core::{
     CommitKind, CoreConfig, SampleConfig, SchedulerKind, DEFAULT_JITTER_SEED,
     DEFAULT_MAX_CYCLES_PER_INTERVAL,
 };
-use orinoco_verif::{CampaignChunk, FfEqChunk};
 use orinoco_workloads::Workload;
 
 /// Frame magic: protocol identity and version in one.
@@ -113,13 +112,6 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn put_seeds(out: &mut Vec<u8>, seeds: &[u64]) {
-    put_u64(out, seeds.len() as u64);
-    for &s in seeds {
-        put_u64(out, s);
-    }
-}
-
 /// A cursor over a message payload with field-labelled truncation errors.
 struct Reader<'a> {
     buf: &'a [u8],
@@ -165,14 +157,6 @@ impl<'a> Reader<'a> {
         }
         let bytes = self.take(len as usize, field)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8(field))
-    }
-
-    fn seeds(&mut self, field: &'static str) -> Result<Vec<u64>, WireError> {
-        let len = self.u64(field)?;
-        if len > (MAX_FRAME_LEN / 8) as u64 {
-            return Err(WireError::BadValue(field));
-        }
-        (0..len).map(|_| self.u64(field)).collect()
     }
 
     fn finish(self) -> Result<(), WireError> {
@@ -520,48 +504,12 @@ impl SampleSpec {
     }
 }
 
-/// A contiguous slice of a verification campaign (clean+injection fuzz or
-/// ffeq), as run by `orinoco_verif::campaign_chunk` / `ffeq_chunk`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChunkSpec {
-    /// Campaign seed (the whole campaign's identity).
-    pub campaign_seed: u64,
-    /// First program index of this chunk.
-    pub start: u64,
-    /// Number of programs in this chunk.
-    pub count: u64,
-    /// Total programs in the campaign (fixes the seed stream).
-    pub programs: u64,
-}
-
-impl ChunkSpec {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.campaign_seed);
-        put_u64(out, self.start);
-        put_u64(out, self.count);
-        put_u64(out, self.programs);
-    }
-
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        Ok(Self {
-            campaign_seed: r.u64("campaign_seed")?,
-            start: r.u64("chunk start")?,
-            count: r.u64("chunk count")?,
-            programs: r.u64("chunk programs")?,
-        })
-    }
-}
-
 /// The work a client can ask for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum JobSpec {
-    /// One simulation run.
+    /// One simulation run (wire tag 0).
     Sim(SimSpec),
-    /// A fuzz-campaign slice (clean + SPEC-flip injection passes).
-    VerifChunk(ChunkSpec),
-    /// A fast-forward-equivalence campaign slice.
-    FfeqChunk(ChunkSpec),
-    /// One checkpointed-sampling estimate.
+    /// One checkpointed-sampling estimate (wire tag 3).
     Sample(SampleSpec),
 }
 
@@ -575,14 +523,6 @@ impl JobSpec {
                 out.push(0);
                 s.encode(&mut out);
             }
-            JobSpec::VerifChunk(c) => {
-                out.push(1);
-                c.encode(&mut out);
-            }
-            JobSpec::FfeqChunk(c) => {
-                out.push(2);
-                c.encode(&mut out);
-            }
             JobSpec::Sample(s) => {
                 out.push(3);
                 s.encode(&mut out);
@@ -594,8 +534,6 @@ impl JobSpec {
     fn decode(r: &mut Reader) -> Result<Self, WireError> {
         match r.u8("job kind")? {
             0 => Ok(JobSpec::Sim(SimSpec::decode(r)?)),
-            1 => Ok(JobSpec::VerifChunk(ChunkSpec::decode(r)?)),
-            2 => Ok(JobSpec::FfeqChunk(ChunkSpec::decode(r)?)),
             3 => Ok(JobSpec::Sample(SampleSpec::decode(r)?)),
             tag => Err(WireError::UnknownTag("job kind", tag)),
         }
@@ -617,7 +555,7 @@ impl JobSpec {
         match &mut canon {
             JobSpec::Sim(s) => s.progress_cycles = 0,
             JobSpec::Sample(s) if s.threads <= SampleConfig::MAX_THREADS as u64 => s.threads = 0,
-            JobSpec::Sample(_) | JobSpec::VerifChunk(_) | JobSpec::FfeqChunk(_) => {}
+            JobSpec::Sample(_) => {}
         }
         let bytes = canon.encode();
         let lo = fnv64_from(FNV_OFFSET, &bytes);
@@ -801,56 +739,12 @@ impl SampledResult {
     }
 }
 
-fn encode_campaign_chunk(c: &CampaignChunk, out: &mut Vec<u8>) {
-    put_u64(out, c.programs_run);
-    put_u64(out, c.total_cycles);
-    put_u64(out, c.total_commits);
-    put_u64(out, c.total_ooo_commits);
-    put_seeds(out, &c.failure_seeds);
-    put_u64(out, c.injection_runs);
-    put_u64(out, c.injection_fired);
-    put_u64(out, c.injection_caught);
-}
-
-fn decode_campaign_chunk(r: &mut Reader) -> Result<CampaignChunk, WireError> {
-    Ok(CampaignChunk {
-        programs_run: r.u64("chunk programs_run")?,
-        total_cycles: r.u64("chunk total_cycles")?,
-        total_commits: r.u64("chunk total_commits")?,
-        total_ooo_commits: r.u64("chunk total_ooo_commits")?,
-        failure_seeds: r.seeds("chunk failure_seeds")?,
-        injection_runs: r.u64("chunk injection_runs")?,
-        injection_fired: r.u64("chunk injection_fired")?,
-        injection_caught: r.u64("chunk injection_caught")?,
-    })
-}
-
-fn encode_ffeq_chunk(c: &FfEqChunk, out: &mut Vec<u8>) {
-    put_u64(out, c.programs_run);
-    put_u64(out, c.total_cycles);
-    put_u64(out, c.total_commits);
-    put_seeds(out, &c.mismatch_seeds);
-}
-
-fn decode_ffeq_chunk(r: &mut Reader) -> Result<FfEqChunk, WireError> {
-    Ok(FfEqChunk {
-        programs_run: r.u64("ffeq programs_run")?,
-        total_cycles: r.u64("ffeq total_cycles")?,
-        total_commits: r.u64("ffeq total_commits")?,
-        mismatch_seeds: r.seeds("ffeq mismatch_seeds")?,
-    })
-}
-
 /// A completed job's payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JobResult {
-    /// Simulation observables.
+    /// Simulation observables (wire tag 0).
     Sim(SimResult),
-    /// Fuzz-campaign chunk counters.
-    Verif(CampaignChunk),
-    /// Ffeq-campaign chunk counters.
-    Ffeq(FfEqChunk),
-    /// Checkpointed-sampling observables.
+    /// Checkpointed-sampling observables (wire tag 3).
     Sampled(SampledResult),
 }
 
@@ -860,14 +754,6 @@ impl JobResult {
             JobResult::Sim(s) => {
                 out.push(0);
                 s.encode(out);
-            }
-            JobResult::Verif(c) => {
-                out.push(1);
-                encode_campaign_chunk(c, out);
-            }
-            JobResult::Ffeq(c) => {
-                out.push(2);
-                encode_ffeq_chunk(c, out);
             }
             JobResult::Sampled(s) => {
                 out.push(3);
@@ -879,8 +765,6 @@ impl JobResult {
     fn decode(r: &mut Reader) -> Result<Self, WireError> {
         match r.u8("result kind")? {
             0 => Ok(JobResult::Sim(SimResult::decode(r)?)),
-            1 => Ok(JobResult::Verif(decode_campaign_chunk(r)?)),
-            2 => Ok(JobResult::Ffeq(decode_ffeq_chunk(r)?)),
             3 => Ok(JobResult::Sampled(SampledResult::decode(r)?)),
             tag => Err(WireError::UnknownTag("result kind", tag)),
         }

@@ -48,7 +48,6 @@ use orinoco_core::{run_sampled, Core, Fleet};
 use orinoco_isa::Emulator;
 use orinoco_util::mailbox::Dispatcher;
 use orinoco_util::panic_message;
-use orinoco_verif::{campaign_chunk, ffeq_chunk};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -76,7 +75,7 @@ pub struct ServerInner {
     submit_lock: Mutex<()>,
 }
 
-/// Expected panics (injected faults, overrun lanes) must not spam stderr
+/// Expected panics (deadlocked or overrun lanes) must not spam stderr
 /// for the lifetime of a server process; installed once, process-global.
 fn silence_panics_once() {
     static QUIET: Once = Once::new();
@@ -231,12 +230,6 @@ fn run_primary(
     };
     let outcome = catch_unwind(AssertUnwindSafe(|| match spec {
         JobSpec::Sim(sim) => run_sim_on_fleet(ctx, &sim, progress).map(JobResult::Sim),
-        JobSpec::VerifChunk(c) => {
-            Ok(JobResult::Verif(campaign_chunk(c.campaign_seed, c.start, c.count, c.programs)))
-        }
-        JobSpec::FfeqChunk(c) => {
-            Ok(JobResult::Ffeq(ffeq_chunk(c.campaign_seed, c.start, c.count, c.programs)))
-        }
         JobSpec::Sample(s) => execute_sample(&s).map(JobResult::Sampled),
     }));
     match outcome {

@@ -7,7 +7,7 @@
 //! `cargo test --release -p orinoco-server`).
 
 use orinoco_server::{
-    run_one_shot, ChunkSpec, ConfigSpec, JobResult, JobSpec, Preset, Server, SimSpec,
+    run_one_shot, ConfigSpec, JobResult, JobSpec, Preset, SampleSpec, Server, SimSpec,
 };
 use orinoco_core::{CommitKind, SchedulerKind};
 use orinoco_util::prop::forall;
@@ -102,19 +102,6 @@ fn warm_lane_reuse_does_not_change_results() {
     }
 }
 
-#[test]
-fn verif_chunks_are_cached_and_deterministic() {
-    let server = Server::new(4);
-    let chunk = JobSpec::VerifChunk(ChunkSpec { campaign_seed: 0xD1FF, start: 0, count: 3, programs: 6 });
-    let (a, b) = std::thread::scope(|scope| {
-        let ha = scope.spawn(|| server.client().run(chunk).expect("chunk a"));
-        let hb = scope.spawn(|| server.client().run(chunk).expect("chunk b"));
-        (ha.join().unwrap(), hb.join().unwrap())
-    });
-    assert_eq!(a, b, "concurrent identical verif chunks disagree");
-    assert_eq!(server.cache_stats().misses, 1, "chunk must compute once");
-}
-
 // ---------------------------------------------------------------------------
 // Canonical-hash property tests
 // ---------------------------------------------------------------------------
@@ -185,17 +172,25 @@ fn cache_key_is_canonical_over_the_encoding() {
 
 #[test]
 fn job_kinds_never_collide() {
-    // A sim, a verif chunk and an ffeq chunk with overlapping raw fields
-    // must key differently (kind tag leads the canonical encoding).
+    // A sim and a sampling job over the same config, workload, scale and
+    // seed, with the sample's leading numeric fields set to the sim's,
+    // must key differently (the kind tag leads the canonical encoding).
     forall("kind-collision-freedom", 0x4B1D, 500, |rng| {
-        let c = ChunkSpec {
-            campaign_seed: rng.next_u64(),
-            start: rng.gen_range(0..100u64),
-            count: rng.gen_range(1..100u64),
-            programs: rng.gen_range(1..1000u64),
+        let sim = arb_spec(rng);
+        let sample = SampleSpec {
+            config: sim.config,
+            workload: sim.workload,
+            scale: sim.scale,
+            seed: sim.seed,
+            warmup_insts: sim.max_instrs,
+            detail_insts: sim.max_cycles,
+            period_insts: sim.progress_cycles,
+            ..SampleSpec::orinoco_base(sim.workload)
         };
-        let verif = JobSpec::VerifChunk(c);
-        let ffeq = JobSpec::FfeqChunk(c);
-        assert_ne!(verif.cache_key(), ffeq.cache_key(), "chunk kinds collided: {c:?}");
+        assert_ne!(
+            JobSpec::Sim(sim).cache_key(),
+            JobSpec::Sample(sample).cache_key(),
+            "job kinds collided: {sim:?} vs {sample:?}"
+        );
     });
 }

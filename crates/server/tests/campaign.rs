@@ -1,14 +1,12 @@
-//! Campaign-over-client equivalence: sweeps and verification campaigns
-//! routed through the server must be byte-identical to their serial
-//! one-shot counterparts — same merge discipline as the PR 2
-//! deterministic seed-order merge, now across server queues.
+//! Sweep-over-client equivalence: sweeps routed through the server, in
+//! process or over TCP, must be byte-identical to their serial one-shot
+//! counterparts, and bad specs must fail politely.
 
 use orinoco_server::{
-    run_one_shot, ChunkSpec, ConfigSpec, JobResult, JobSpec, Request, Response, SampleSpec,
-    Server, SimSpec, TcpClient, TcpFront,
+    run_one_shot, ConfigSpec, JobResult, JobSpec, Request, Response, SampleSpec, Server, SimSpec,
+    TcpClient, TcpFront,
 };
 use orinoco_core::{CommitKind, SampleConfig, SchedulerKind};
-use orinoco_verif::{ff_equivalence_campaign, fuzz_campaign, CampaignChunk, FfEqChunk};
 use orinoco_workloads::Workload;
 
 /// A small sweep grid: 3 workloads x 2 configs x 2 seeds.
@@ -69,85 +67,6 @@ fn concurrent_multi_client_sweep_matches_serial_one_shots() {
     });
     // 3 identical sweeps: every grid point computed at most once.
     assert_eq!(server.cache_stats().misses, specs.len() as u64);
-}
-
-#[test]
-fn verif_campaign_over_client_equals_direct_campaign() {
-    // The whole-campaign reference, run directly (no server, no chunks).
-    let whole = fuzz_campaign(8, 0xD1FF, None, |_, _| {});
-
-    // The same campaign as four chunk jobs from two concurrent clients
-    // (2 chunks each), merged in seed order.
-    let server = Server::new(4);
-    let chunks: Vec<ChunkSpec> = (0..4)
-        .map(|i| ChunkSpec { campaign_seed: 0xD1FF, start: i * 2, count: 2, programs: 8 })
-        .collect();
-    let halves = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for half in chunks.chunks(2) {
-            let server = &server;
-            handles.push(scope.spawn(move || {
-                let client = server.client();
-                half.iter()
-                    .map(|c| match client.run(JobSpec::VerifChunk(*c)).expect("chunk failed") {
-                        JobResult::Verif(r) => r,
-                        other => panic!("unexpected result {other:?}"),
-                    })
-                    .collect::<Vec<_>>()
-            }));
-        }
-        handles.into_iter().map(|h| h.join().unwrap()).collect::<Vec<_>>()
-    });
-    let mut merged = CampaignChunk::default();
-    for chunk in halves.into_iter().flatten() {
-        merged.merge(&chunk);
-    }
-
-    assert_eq!(merged.programs_run, whole.programs_run);
-    assert_eq!(merged.total_cycles, whole.total_cycles);
-    assert_eq!(merged.total_commits, whole.total_commits);
-    assert_eq!(merged.total_ooo_commits, whole.total_ooo_commits);
-    assert_eq!(merged.injection_runs, whole.injection_runs);
-    assert_eq!(merged.injection_fired, whole.injection_fired);
-    assert_eq!(merged.injection_caught, whole.injection_caught);
-    assert_eq!(
-        merged.failure_seeds,
-        whole.failures.iter().map(|f| f.program_seed).collect::<Vec<_>>()
-    );
-    assert!(whole.passed(), "reference campaign itself failed");
-}
-
-#[test]
-fn ffeq_campaign_over_client_equals_direct_campaign() {
-    let whole = ff_equivalence_campaign(6, 7, 1, |_, _| {});
-
-    let server = Server::new(4);
-    let client = server.client();
-    let ids: Vec<u64> = (0..3)
-        .map(|i| {
-            client.submit(JobSpec::FfeqChunk(ChunkSpec {
-                campaign_seed: 7,
-                start: i * 2,
-                count: 2,
-                programs: 6,
-            }))
-        })
-        .collect();
-    let mut merged = FfEqChunk::default();
-    for id in ids {
-        match client.wait(id).0.expect("ffeq chunk failed") {
-            JobResult::Ffeq(r) => merged.merge(&r),
-            other => panic!("unexpected result {other:?}"),
-        }
-    }
-    assert_eq!(merged.programs_run, whole.programs_run);
-    assert_eq!(merged.total_cycles, whole.total_cycles);
-    assert_eq!(merged.total_commits, whole.total_commits);
-    assert_eq!(
-        merged.mismatch_seeds,
-        whole.mismatches.iter().map(|m| m.program_seed).collect::<Vec<_>>()
-    );
-    assert!(whole.passed(), "reference ffeq campaign itself failed");
 }
 
 #[test]

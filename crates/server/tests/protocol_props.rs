@@ -6,12 +6,11 @@
 use orinoco_core::{CommitKind, SampleConfig, SchedulerKind};
 use orinoco_server::protocol::{decode_frame, encode_frame, MAX_FRAME_LEN};
 use orinoco_server::{
-    ChunkSpec, ConfigSpec, JobResult, JobSpec, Preset, Request, Response, SampleSpec,
-    SampledResult, SimResult, SimSpec, WireError,
+    ConfigSpec, JobResult, JobSpec, Preset, Request, Response, SampleSpec, SampledResult,
+    SimResult, SimSpec, WireError,
 };
 use orinoco_util::prop::forall;
 use orinoco_util::Rng;
-use orinoco_verif::{CampaignChunk, FfEqChunk};
 use orinoco_workloads::Workload;
 
 fn arb_string(rng: &mut Rng) -> String {
@@ -21,20 +20,9 @@ fn arb_string(rng: &mut Rng) -> String {
         .collect()
 }
 
-fn arb_seeds(rng: &mut Rng) -> Vec<u64> {
-    (0..rng.gen_range(0..5u64)).map(|_| rng.next_u64()).collect()
-}
-
 fn arb_sim_spec(rng: &mut Rng) -> SimSpec {
     SimSpec {
-        config: ConfigSpec {
-            preset: Preset::ALL[rng.gen_range(0..Preset::ALL.len() as u64) as usize],
-            scheduler: SchedulerKind::ALL[rng.gen_range(0..SchedulerKind::ALL.len() as u64) as usize],
-            commit: CommitKind::ALL[rng.gen_range(0..CommitKind::ALL.len() as u64) as usize],
-            fast_forward: rng.gen_range(0..2u64) == 0,
-            rob_entries: rng.gen_range(0..512u64),
-            iq_entries: rng.gen_range(0..256u64),
-        },
+        config: arb_config_spec(rng),
         workload: Workload::ALL[rng.gen_range(0..Workload::ALL.len() as u64) as usize],
         scale: rng.gen_range(1..100u64),
         seed: rng.next_u64(),
@@ -74,21 +62,11 @@ fn arb_sample_spec(rng: &mut Rng) -> SampleSpec {
     }
 }
 
-fn arb_chunk_spec(rng: &mut Rng) -> ChunkSpec {
-    ChunkSpec {
-        campaign_seed: rng.next_u64(),
-        start: rng.gen_range(0..1_000u64),
-        count: rng.gen_range(0..1_000u64),
-        programs: rng.gen_range(0..10_000u64),
-    }
-}
-
 fn arb_job_spec(rng: &mut Rng) -> JobSpec {
-    match rng.gen_range(0..4u64) {
-        0 => JobSpec::Sim(arb_sim_spec(rng)),
-        1 => JobSpec::VerifChunk(arb_chunk_spec(rng)),
-        2 => JobSpec::FfeqChunk(arb_chunk_spec(rng)),
-        _ => JobSpec::Sample(arb_sample_spec(rng)),
+    if rng.gen_range(0..2u64) == 0 {
+        JobSpec::Sim(arb_sim_spec(rng))
+    } else {
+        JobSpec::Sample(arb_sample_spec(rng))
     }
 }
 
@@ -101,8 +79,16 @@ fn arb_request(rng: &mut Rng) -> Request {
 }
 
 fn arb_job_result(rng: &mut Rng) -> JobResult {
-    match rng.gen_range(0..4u64) {
-        3 => JobResult::Sampled(SampledResult {
+    if rng.gen_range(0..2u64) == 0 {
+        JobResult::Sim(SimResult {
+            cycles: rng.next_u64(),
+            committed: rng.next_u64(),
+            stats_debug: arb_string(rng),
+            commit_digest: rng.next_u64(),
+            stats_digest: rng.next_u64(),
+        })
+    } else {
+        JobResult::Sampled(SampledResult {
             total_insts: rng.next_u64(),
             detailed_insts: rng.next_u64(),
             warmup_insts: rng.next_u64(),
@@ -112,30 +98,7 @@ fn arb_job_result(rng: &mut Rng) -> JobResult {
             rel_ci95_bits: rng.next_u64(),
             summary: arb_string(rng),
             summary_digest: rng.next_u64(),
-        }),
-        0 => JobResult::Sim(SimResult {
-            cycles: rng.next_u64(),
-            committed: rng.next_u64(),
-            stats_debug: arb_string(rng),
-            commit_digest: rng.next_u64(),
-            stats_digest: rng.next_u64(),
-        }),
-        1 => JobResult::Verif(CampaignChunk {
-            programs_run: rng.next_u64(),
-            total_cycles: rng.next_u64(),
-            total_commits: rng.next_u64(),
-            total_ooo_commits: rng.next_u64(),
-            failure_seeds: arb_seeds(rng),
-            injection_runs: rng.next_u64(),
-            injection_fired: rng.next_u64(),
-            injection_caught: rng.next_u64(),
-        }),
-        _ => JobResult::Ffeq(FfEqChunk {
-            programs_run: rng.next_u64(),
-            total_cycles: rng.next_u64(),
-            total_commits: rng.next_u64(),
-            mismatch_seeds: arb_seeds(rng),
-        }),
+        })
     }
 }
 
@@ -313,6 +276,34 @@ fn unknown_tags_and_bad_values_are_rejected() {
         }),
     };
     let bytes = good_submit.encode();
+    // Job and result kinds: only Sim (0) and Sample (3) exist, so every
+    // other tag, 1 and 2 included, must be rejected. The kind follows the
+    // message tag and the 8-byte queue or job id, at offset 9.
+    let done = Response::Done {
+        job_id: 1,
+        result: JobResult::Sim(SimResult {
+            cycles: 1,
+            committed: 1,
+            stats_debug: String::new(),
+            commit_digest: 0,
+            stats_digest: 0,
+        }),
+    }
+    .encode();
+    for tag in (1..=2u8).chain(4..=255) {
+        let mut evil = bytes.clone();
+        evil[9] = tag;
+        assert!(
+            matches!(Request::decode(&evil), Err(WireError::UnknownTag("job kind", t)) if t == tag),
+            "job kind {tag} decoded"
+        );
+        let mut evil = done.clone();
+        evil[9] = tag;
+        assert!(
+            matches!(Response::decode(&evil), Err(WireError::UnknownTag("result kind", t)) if t == tag),
+            "result kind {tag} decoded"
+        );
+    }
     // Locate the scheduler tag: request tag (1) + queue (8) + job kind (1)
     // + preset (1) = offset 11.
     let mut evil = bytes.clone();

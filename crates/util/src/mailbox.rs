@@ -2,12 +2,12 @@
 //! strict-FIFO-per-queue dispatcher — the execution layer of the campaign
 //! server (`orinoco-server`).
 //!
-//! [`pool::parallel_map`](crate::pool::parallel_map) is the right shape
-//! for one-shot campaigns: a fixed item slice, scoped workers, ordered
-//! merge. A long-running job server needs the opposite: workers that
-//! outlive any one batch, jobs that arrive continuously, and an ordering
-//! guarantee that holds *per logical queue* while unrelated queues share
-//! the machine freely.
+//! [`pool::ordered_pipeline_map`](crate::pool::ordered_pipeline_map) is
+//! the right shape for one-shot campaigns: one serial producer, scoped
+//! workers, ordered merge. A long-running job server needs the opposite:
+//! workers that outlive any one batch, jobs that arrive continuously, and
+//! an ordering guarantee that holds *per logical queue* while unrelated
+//! queues share the machine freely.
 //!
 //! # Ordering model
 //!

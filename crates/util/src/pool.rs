@@ -1,51 +1,53 @@
-//! A minimal work-stealing-free scoped thread pool.
+//! An order-preserving scoped thread pool: ordered issue, unordered
+//! completion, ordered merge.
 //!
 //! Parallelism in this workspace must never change observable output: the
-//! verif campaigns and the `results/` sweeps are contractually byte-identical
-//! whether they run on 1 thread or 64. [`parallel_map`] guarantees this by
-//! construction — workers *claim* item indices from a shared atomic counter
-//! (self-scheduling, no stealing, no channels) and tag every result with the
-//! index it came from; after all workers join, results are merged back into
-//! input order. Interleaving affects only wall-clock time, never the output.
+//! verif campaigns, the `results/` sweeps and the sampler are contractually
+//! byte-identical whether they run on 1 thread or 64.
+//! [`ordered_pipeline_map`] guarantees this by construction — a serial
+//! producer numbers every item as it issues it, workers tag each result
+//! with that number, and the merge sorts by it. Interleaving affects only
+//! wall-clock time, never the output. Failures follow the same rule: a
+//! panicking item re-raises the panic the serial loop would have raised.
 //!
 //! Built on `std::thread::scope` so borrowed inputs work without `Arc` and
 //! without any external crate.
 //!
-//! # Ordering audit: idle-worker pickup
+//! # Ordering audit: multi-consumer pickup
 //!
-//! Audited (PR 9) for the fraktor-rs `SystemQueue` failure mode, where a
+//! Audited for the fraktor-rs `SystemQueue` failure mode, where a
 //! contended CAS fallback on the idle-pickup path re-enqueued a FIFO batch
-//! in reverse. `parallel_map` is immune *by construction*, for two
-//! separate reasons:
+//! in reverse. The pool is immune for two separate reasons:
 //!
-//! 1. There is no idle/park/refill path at all. The item set is fixed
-//!    before any worker starts; workers self-schedule by `fetch_add` on a
-//!    shared cursor and exit when it passes the end. A worker is never
-//!    idle while work remains, so there is no pickup step whose arrival
-//!    order could race a refill.
-//! 2. Output order never depends on completion order anyway. Every result
-//!    is tagged with the input index its worker claimed, and the final
-//!    merge sorts by that tag — even an adversarial scheduler that runs
-//!    claims in reverse produces byte-identical output.
+//! 1. There is no fallback path to get wrong. The queue is one `VecDeque`
+//!    under one mutex: the producer pushes at the back in production
+//!    order, workers pop from the front, and nothing is ever re-enqueued.
+//! 2. Output order never depends on pop or completion order anyway. Every
+//!    result is tagged with its production index and the final merge
+//!    sorts by that tag — even an adversarial scheduler that finishes
+//!    items in reverse produces byte-identical output.
 //!
-//! The `stalled_workers_never_invert_order` test below pins this: workers
-//! stall pseudo-randomly mid-item (forcing maximal claim/completion
-//! reordering) and the output must still equal the serial map. Long-lived
-//! queues that *do* refill live in [`crate::mailbox`], which sidesteps the
-//! bug class differently: each queue has a single consumer, so there is no
-//! contended multi-consumer pickup to get wrong.
+//! The `pipeline_stalled_workers_never_invert_order` test below pins this:
+//! workers stall pseudo-randomly mid-item (forcing maximal completion
+//! reordering) while the bounded queue blocks the producer, and the output
+//! must still equal the serial map. Long-lived queues live in
+//! [`crate::mailbox`], which sidesteps the bug class differently: each
+//! queue has a single consumer, so there is no contended multi-consumer
+//! pickup at all.
 //!
 //! # Example
 //!
 //! ```
-//! use orinoco_util::pool::parallel_map;
+//! use orinoco_util::pool::ordered_pipeline_map;
 //!
-//! let items = vec![1u64, 2, 3, 4, 5];
-//! let out = parallel_map(4, &items, |_, &x| x * x);
+//! let mut items = vec![1u64, 2, 3, 4, 5].into_iter();
+//! let out = ordered_pipeline_map(4, |_| (), || items.next(), |(), _, x| x * x);
 //! assert_eq!(out, vec![1, 4, 9, 16, 25]);
 //! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Number of worker threads to use by default: the `ORINOCO_JOBS`
 /// environment variable if set, otherwise the machine's available
@@ -60,96 +62,109 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Applies `f` to every item of `items` using up to `jobs` worker threads
-/// and returns the results **in input order**, regardless of scheduling.
-///
-/// `f` receives `(index, &item)`. With `jobs <= 1` (or a single item) the
-/// map runs inline on the calling thread — the parallel path produces the
-/// exact same output, it only gets there faster.
-///
-/// Determinism contract: `f` must be a pure function of its arguments (plus
-/// state it synchronises itself); under that contract the returned vector
-/// is byte-identical across any thread count.
-pub fn parallel_map<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let jobs = jobs.max(1).min(items.len());
-    if jobs <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+/// The producer → worker queue and its two wake-ups.
+struct Channel<T> {
+    state: Mutex<Queue<T>>,
+    /// Signalled when an item is pushed, production ends or a worker fails.
+    not_empty: Condvar,
+    /// Signalled when an item is popped or a worker fails.
+    not_full: Condvar,
+}
+
+struct Queue<T> {
+    items: VecDeque<(usize, T)>,
+    /// Production has ended: workers drain what is left, then exit.
+    closed: bool,
+    /// A worker panicked: the producer stops and no worker takes another item.
+    failed: bool,
+}
+
+impl<T> Channel<T> {
+    fn lock(&self) -> MutexGuard<'_, Queue<T>> {
+        self.state.lock().expect("pipeline queue poisoned")
     }
 
-    let next = AtomicUsize::new(0);
-    let mut tagged: Vec<(usize, R)> = Vec::with_capacity(items.len());
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(jobs);
-        for _ in 0..jobs {
-            let next = &next;
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                let mut local: Vec<(usize, R)> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    local.push((i, f(i, &items[i])));
-                }
-                local
-            }));
+    /// Waits for room and enqueues `entry`; `false` once a worker failed.
+    fn push(&self, entry: (usize, T), capacity: usize) -> bool {
+        let mut q = self.lock();
+        while q.items.len() >= capacity && !q.failed {
+            q = self.not_full.wait(q).expect("pipeline queue poisoned");
         }
-        for h in handles {
-            // A worker panic propagates: losing results silently would
-            // violate the determinism contract.
-            tagged.extend(h.join().expect("parallel_map worker panicked"));
+        if q.failed {
+            return false;
         }
-    });
+        q.items.push_back(entry);
+        drop(q);
+        self.not_empty.notify_one();
+        true
+    }
 
-    // Ordered merge: sort by the input index each result was tagged with.
-    tagged.sort_unstable_by_key(|&(i, _)| i);
-    debug_assert_eq!(tagged.len(), items.len());
-    tagged.into_iter().map(|(_, r)| r).collect()
+    /// The oldest queued item, or `None` once the queue is closed and
+    /// drained or a worker failed.
+    fn pop(&self) -> Option<(usize, T)> {
+        let mut q = self.lock();
+        loop {
+            if q.failed {
+                return None;
+            }
+            if let Some(entry) = q.items.pop_front() {
+                drop(q);
+                self.not_full.notify_one();
+                return Some(entry);
+            }
+            if q.closed {
+                return None;
+            }
+            q = self.not_empty.wait(q).expect("pipeline queue poisoned");
+        }
+    }
+
+    fn close(&self) {
+        self.lock().closed = true;
+        self.not_empty.notify_all();
+    }
+
+    fn fail(&self) {
+        self.lock().failed = true;
+        self.not_empty.notify_all();
+        self.not_full.notify_all();
+    }
 }
 
 /// Streams items from a serial producer through up to `jobs` workers and
 /// returns the results **in production order**, regardless of scheduling.
 ///
-/// Where [`parallel_map`] needs the whole item set up front,
-/// `ordered_pipeline_map` overlaps *production* with *consumption*: the
-/// producer runs on the calling thread (it may borrow mutable state — a
-/// master emulator, a file reader) and hands each item into a bounded
-/// queue; workers pull, transform, and tag results with the production
-/// index; the final merge sorts by that tag. The bound (`capacity`)
-/// backpressures the producer so at most `capacity` items are buffered —
-/// the knob that keeps memory flat when items are large (checkpoints,
-/// warm-state images).
+/// The producer runs on the calling thread (it may borrow mutable state —
+/// a master emulator, a seed iterator) and hands each item into a queue
+/// bounded at `jobs + 2` items, which keeps memory flat when items are
+/// large (checkpoints, warm-state images). Workers pull, transform, and
+/// tag results with the production index; the final merge sorts by that
+/// tag. A worker starts when the producer issues an item and fewer than
+/// `jobs` workers have started, so no more workers start than there are
+/// items.
 ///
 /// `init` builds one long-lived state value per worker (a warm core pool,
-/// a scratch buffer); `work` receives `(&mut state, index, item)`. With
-/// `jobs <= 1` everything runs inline on the calling thread, producing
-/// the exact same output.
+/// a scratch buffer) when that worker starts; `work` receives
+/// `(&mut state, index, item)`. With `jobs <= 1` everything runs inline
+/// on the calling thread, producing the exact same output.
 ///
-/// Determinism contract: as with [`parallel_map`], `work` must be a pure
-/// function of its arguments (plus state it synchronises itself) and
-/// `init` must not make results depend on the worker id; under that
-/// contract the returned vector is byte-identical across any thread
-/// count.
-///
-/// Ordering audit (the fraktor-rs bug class): the queue has multiple
-/// consumers, but output order never depends on pop order — every result
-/// carries its production index and the merge sorts by it. A worker panic
-/// propagates on join (losing results silently would break determinism);
-/// callers that want per-item retry catch panics inside `work`.
+/// Determinism contract: `work` must be a pure function of its arguments
+/// (plus state it synchronises itself) and `init` must not make results
+/// depend on the worker id; under that contract the returned vector is
+/// byte-identical across any thread count.
 ///
 /// # Panics
 ///
-/// Panics if a worker panics out of `work` (after all workers are
-/// joined), re-raising the first panic payload.
+/// Re-raises (with [`resume_unwind`]) the panic of the lowest-indexed item
+/// whose `work` panicked — the panic the serial loop raises. The first
+/// failure stops the producer and keeps the workers from taking further
+/// items; every item issued before it has already been taken, so each
+/// finishes and a lower-indexed panic still wins. A panic in `produce`
+/// counts as one of the item it was producing, and a panic in a worker's
+/// `init` as one of the item that started the worker. Callers that want
+/// per-item retry catch panics inside `work`.
 pub fn ordered_pipeline_map<T, R, S>(
     jobs: usize,
-    capacity: usize,
     init: impl Fn(usize) -> S + Sync,
     mut produce: impl FnMut() -> Option<T>,
     work: impl Fn(&mut S, usize, T) -> R + Sync,
@@ -162,90 +177,73 @@ where
     if jobs == 1 {
         let mut state = init(0);
         let mut out = Vec::new();
-        let mut i = 0usize;
         while let Some(item) = produce() {
-            out.push(work(&mut state, i, item));
-            i += 1;
+            out.push(work(&mut state, out.len(), item));
         }
         return out;
     }
-    let capacity = capacity.max(1);
-
-    use std::collections::VecDeque;
-    use std::sync::{Condvar, Mutex};
-    struct Shared<T> {
-        queue: Mutex<(VecDeque<(usize, T)>, bool)>,
-        /// Signalled when an item is pushed or production ends.
-        not_empty: Condvar,
-        /// Signalled when an item is popped.
-        not_full: Condvar,
-    }
-    let shared = Shared {
-        queue: Mutex::new((VecDeque::with_capacity(capacity), false)),
+    let capacity = jobs.saturating_add(2);
+    let channel = Channel {
+        state: Mutex::new(Queue { items: VecDeque::new(), closed: false, failed: false }),
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
     };
 
     let mut tagged: Vec<(usize, R)> = Vec::new();
+    // Each caught panic, with the index of the item it is charged to.
+    let mut panics = Vec::new();
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(jobs);
-        for worker in 0..jobs {
-            let shared = &shared;
-            let init = &init;
-            let work = &work;
-            handles.push(scope.spawn(move || {
-                let mut state = init(worker);
-                let mut local: Vec<(usize, R)> = Vec::new();
-                let mut guard = shared.queue.lock().expect("pipeline queue poisoned");
-                loop {
-                    if let Some((i, item)) = guard.0.pop_front() {
-                        shared.not_full.notify_one();
-                        drop(guard);
-                        local.push((i, work(&mut state, i, item)));
-                        guard = shared.queue.lock().expect("pipeline queue poisoned");
-                    } else if guard.1 {
-                        break;
-                    } else {
-                        guard = shared
-                            .not_empty
-                            .wait(guard)
-                            .expect("pipeline queue poisoned");
-                    }
-                }
-                local
-            }));
-        }
-        // Production runs on the calling thread, overlapped with the
-        // workers; `produce` is called outside the lock so a slow
-        // producer never blocks consumers (and vice versa, up to the
-        // capacity bound).
-        let mut i = 0usize;
+        let mut workers = Vec::new();
+        let mut index = 0usize;
         loop {
-            let item = produce();
-            let mut guard = shared.queue.lock().expect("pipeline queue poisoned");
-            match item {
-                Some(item) => {
-                    while guard.0.len() >= capacity {
-                        guard = shared.not_full.wait(guard).expect("pipeline queue poisoned");
-                    }
-                    guard.0.push_back((i, item));
-                    i += 1;
-                    drop(guard);
-                    shared.not_empty.notify_one();
-                }
-                None => {
-                    guard.1 = true;
-                    drop(guard);
-                    shared.not_empty.notify_all();
+            // Production runs on the calling thread, outside the lock, so a
+            // slow producer never blocks consumers (and vice versa, up to
+            // the capacity bound).
+            let item = match catch_unwind(AssertUnwindSafe(&mut produce)) {
+                Ok(Some(item)) => item,
+                Ok(None) => break,
+                Err(payload) => {
+                    panics.push((index, payload));
                     break;
                 }
+            };
+            if workers.len() < jobs {
+                let id = workers.len();
+                let (channel, init, work) = (&channel, &init, &work);
+                workers.push(scope.spawn(move || {
+                    let mut charged = index;
+                    let mut local: Vec<(usize, R)> = Vec::new();
+                    catch_unwind(AssertUnwindSafe(|| {
+                        let mut state = init(id);
+                        while let Some((i, item)) = channel.pop() {
+                            charged = i;
+                            local.push((i, work(&mut state, i, item)));
+                        }
+                    }))
+                    .map(|()| local)
+                    .map_err(|payload| {
+                        channel.fail();
+                        (charged, payload)
+                    })
+                }));
             }
+            if !channel.push((index, item), capacity) {
+                break;
+            }
+            index += 1;
         }
-        for h in handles {
-            tagged.extend(h.join().expect("ordered_pipeline_map worker panicked"));
+        channel.close();
+        for h in workers {
+            match h.join().unwrap_or_else(|payload| Err((usize::MAX, payload))) {
+                Ok(local) => tagged.extend(local),
+                Err(panicked) => panics.push(panicked),
+            }
         }
     });
 
+    if let Some((_, payload)) = panics.into_iter().min_by_key(|&(i, _)| i) {
+        resume_unwind(payload);
+    }
     tagged.sort_unstable_by_key(|&(i, _)| i);
     tagged.into_iter().map(|(_, r)| r).collect()
 }
@@ -253,29 +251,31 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
-    #[test]
-    fn matches_serial_map_in_order() {
-        let items: Vec<u64> = (0..257).collect();
-        let serial: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(2654435761)).collect();
-        for jobs in [1, 2, 4, 7] {
-            let par = parallel_map(jobs, &items, |_, &x| x.wrapping_mul(2654435761));
-            assert_eq!(par, serial, "jobs={jobs}");
+    /// A producer issuing `0..n`.
+    fn counter(n: u64) -> impl FnMut() -> Option<u64> {
+        let mut next = 0;
+        move || {
+            next += 1;
+            (next <= n).then_some(next - 1)
         }
     }
 
-    #[test]
-    fn passes_input_index() {
-        let items = vec!["a", "b", "c"];
-        let out = parallel_map(3, &items, |i, &s| format!("{i}:{s}"));
-        assert_eq!(out, vec!["0:a", "1:b", "2:c"]);
-    }
-
-    #[test]
-    fn empty_and_single() {
-        let none: Vec<u32> = parallel_map(8, &[], |_, &x: &u32| x);
-        assert!(none.is_empty());
-        assert_eq!(parallel_map(8, &[9u32], |_, &x| x + 1), vec![10]);
+    /// Runs `f` on a helper thread and returns its panic message, failing
+    /// (instead of stalling the suite) if it neither panics nor returns
+    /// within 60 s.
+    fn panic_message_within_timeout(f: impl FnOnce() + Send + 'static) -> String {
+        let (tx, rx) = mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let r = catch_unwind(AssertUnwindSafe(f));
+            let _ = tx.send(r.map_err(|p| crate::panic_message(&*p)));
+        });
+        let r = rx.recv_timeout(Duration::from_secs(60)).expect("the map hung");
+        helper.join().expect("the helper thread catches the map's panic");
+        r.expect_err("the map returned instead of panicking")
     }
 
     #[test]
@@ -284,118 +284,103 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_matches_serial_for_any_jobs_and_capacity() {
-        let serial: Vec<u64> = (0..300u64).map(|x| x.wrapping_mul(0x9E37_79B9)).collect();
-        for jobs in [1, 2, 4, 8] {
-            for capacity in [1, 2, 5, 64] {
-                let mut next = 0u64;
-                let out = ordered_pipeline_map(
-                    jobs,
-                    capacity,
-                    |_| (),
-                    || {
-                        if next < 300 {
-                            next += 1;
-                            Some(next - 1)
-                        } else {
-                            None
-                        }
-                    },
-                    |(), _, x| x.wrapping_mul(0x9E37_79B9),
-                );
-                assert_eq!(out, serial, "jobs={jobs} capacity={capacity}");
+    fn pipeline_matches_serial_for_any_jobs_and_length() {
+        for n in [0u64, 1, 300] {
+            let serial: Vec<u64> = (0..n).map(|x| x.wrapping_mul(0x9E37_79B9)).collect();
+            for jobs in [1, 2, 4, 7] {
+                let out = ordered_pipeline_map(jobs, |_| (), counter(n), |(), _, x| {
+                    x.wrapping_mul(0x9E37_79B9)
+                });
+                assert_eq!(out, serial, "n={n} jobs={jobs}");
             }
         }
-    }
-
-    #[test]
-    fn pipeline_empty_producer() {
-        let out: Vec<u32> = ordered_pipeline_map(4, 2, |_| (), || None::<u32>, |(), _, x| x);
-        assert!(out.is_empty());
     }
 
     #[test]
     fn pipeline_reuses_per_worker_state() {
         // Each worker counts how many items it processed; the counts must
         // sum to the item count (state lives across items, one per worker).
-        use std::sync::atomic::AtomicUsize;
         let per_worker: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
-        let mut next = 0u32;
         let out = ordered_pipeline_map(
             4,
-            3,
             |w| w,
-            || {
-                if next < 97 {
-                    next += 1;
-                    Some(next - 1)
-                } else {
-                    None
-                }
-            },
+            counter(97),
             |w, i, x| {
                 per_worker[*w].fetch_add(1, Ordering::Relaxed);
-                assert_eq!(i as u32, x);
+                assert_eq!(i as u64, x);
                 x
             },
         );
-        assert_eq!(out, (0..97).collect::<Vec<u32>>());
+        assert_eq!(out, (0..97).collect::<Vec<u64>>());
         let total: usize = per_worker.iter().map(|c| c.load(Ordering::Relaxed)).sum();
         assert_eq!(total, 97);
     }
 
-    /// Pipeline twin of `stalled_workers_never_invert_order`: stalls force
-    /// completion order to diverge wildly from production order and the
-    /// bounded queue forces the producer to block mid-stream; the merge
-    /// must still return production order.
+    /// No more workers start than items are produced: at 64 jobs over 3
+    /// items, only three workers (three threads) ever exist.
+    #[test]
+    fn pipeline_starts_no_more_workers_than_items() {
+        let inits = AtomicUsize::new(0);
+        let out = ordered_pipeline_map(
+            64,
+            |_| inits.fetch_add(1, Ordering::Relaxed),
+            counter(3),
+            |_, _, x| x,
+        );
+        assert_eq!(out, vec![0, 1, 2]);
+        let inits = inits.into_inner();
+        assert!(inits <= 3, "{inits} workers for 3 items");
+    }
+
+    /// Stalls force completion order to diverge wildly from production
+    /// order and the bounded queue forces the producer to block
+    /// mid-stream; the merge must still return production order.
     #[test]
     fn pipeline_stalled_workers_never_invert_order() {
         let serial: Vec<u64> = (0..256u64).map(|x| x.wrapping_mul(0x9E37_79B9)).collect();
         for round in 0..3u64 {
-            let mut next = 0u64;
-            let out = ordered_pipeline_map(
-                8,
-                4,
-                |_| (),
-                || {
-                    if next < 256 {
-                        next += 1;
-                        Some(next - 1)
-                    } else {
-                        None
-                    }
-                },
-                |(), i, x| {
-                    let h = (i as u64 ^ (round << 32)).wrapping_mul(0x2545_F491_4F6C_DD1D);
-                    if h.is_multiple_of(5) {
-                        std::thread::sleep(std::time::Duration::from_micros(h % 300));
-                    }
-                    x.wrapping_mul(0x9E37_79B9)
-                },
-            );
+            let out = ordered_pipeline_map(8, |_| (), counter(256), |(), i, x| {
+                let h = (i as u64 ^ (round << 32)).wrapping_mul(0x2545_F491_4F6C_DD1D);
+                if h.is_multiple_of(5) {
+                    std::thread::sleep(Duration::from_micros(h % 300));
+                }
+                x.wrapping_mul(0x9E37_79B9)
+            });
             assert_eq!(out, serial, "round={round}");
         }
     }
 
-    /// Pinned regression for the fraktor-rs BugBot scenario (see the
-    /// module-level ordering audit): force workers to stall at
-    /// pseudo-random points so items complete far out of claim order —
-    /// the merged output must still be in input order, on every run.
+    /// Every worker dies on its first item: the producer must stop waiting
+    /// for room in the queue and the map must re-raise item 0's panic.
     #[test]
-    fn stalled_workers_never_invert_order() {
-        let items: Vec<u64> = (0..512).collect();
-        let serial: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(0x9E37_79B9)).collect();
-        for round in 0..4u64 {
-            let par = parallel_map(8, &items, |i, &x| {
-                // Deterministic per-(round, item) stall: some items sleep,
-                // later-claimed items overtake them freely.
-                let h = (i as u64 ^ (round << 32)).wrapping_mul(0x2545_F491_4F6C_DD1D);
-                if h.is_multiple_of(5) {
-                    std::thread::sleep(std::time::Duration::from_micros(h % 300));
-                }
-                x.wrapping_mul(0x9E37_79B9)
+    fn pipeline_panicking_workers_end_in_the_first_items_panic() {
+        let msg = panic_message_within_timeout(|| {
+            ordered_pipeline_map(2, |_| (), counter(100), |(), i, _| -> u64 {
+                panic!("item {i} failed")
             });
-            assert_eq!(par, serial, "round={round}");
-        }
+        });
+        assert_eq!(msg, "item 0 failed");
+    }
+
+    /// A low-indexed failure still wins over a later item that fails
+    /// first, as in the serial loop: item 3 fails only once item 10 has
+    /// begun to.
+    #[test]
+    fn pipeline_reraises_the_lowest_indexed_panic() {
+        let msg = panic_message_within_timeout(|| {
+            let (tx, rx) = mpsc::channel();
+            let (tx, rx) = (Mutex::new(tx), Mutex::new(rx));
+            ordered_pipeline_map(4, |_| (), counter(100), |(), i, x| {
+                if i == 10 {
+                    tx.lock().expect("sender").send(()).expect("item 3 waits");
+                } else if i == 3 {
+                    rx.lock().expect("receiver").recv().expect("item 10 sends");
+                } else {
+                    return x;
+                }
+                panic!("item {i} failed")
+            });
+        });
+        assert_eq!(msg, "item 3 failed");
     }
 }

@@ -19,9 +19,10 @@
 //! Units are pure functions of the program seed, so the parallel campaign
 //! merges results in seed order and is byte-identical to a serial run.
 
-use crate::{config_for_seed, gen, mcm, program_seeds, with_unit_fleet};
-use orinoco_core::{CoreConfig, System};
+use crate::{config_for_seed, gen, mcm, program_seeds};
+use orinoco_core::{CoreConfig, Fleet, System};
 use orinoco_isa::Emulator;
+use orinoco_util::pool::ordered_pipeline_map;
 use orinoco_workloads::multicore::SharedWorkload;
 
 /// Cycle budget per run; matches the co-simulation default.
@@ -62,21 +63,19 @@ impl FfEqOutcome {
     }
 }
 
-/// Runs `emu` to completion under `cfg` on a core of this thread's
-/// campaign [`orinoco_core::Fleet`] and renders its observables: the
-/// commit-event stream as strings, the `SimStats` `Debug` form, the
-/// stall-taxonomy `Debug` form, and the cycle count.
-fn observe(cfg: CoreConfig, emu: Emulator) -> (Vec<String>, String, String, u64) {
-    with_unit_fleet(|fleet| {
-        fleet.with_lane(cfg, emu, |core| {
-            core.enable_commit_trace();
-            let stats = core.run(MAX_CYCLES);
-            let cycles = stats.cycles;
-            let stats_dbg = format!("{stats:?}");
-            let tax_dbg = format!("{:?}", stats.stall_taxonomy);
-            let commits = core.drain_commit_trace().iter().map(|ev| format!("{ev:?}")).collect();
-            (commits, stats_dbg, tax_dbg, cycles)
-        })
+/// Runs `emu` to completion under `cfg` on a core of the worker's
+/// `fleet` and renders its observables: the commit-event stream as
+/// strings, the `SimStats` `Debug` form, the stall-taxonomy `Debug` form,
+/// and the cycle count.
+fn observe(fleet: &mut Fleet, cfg: CoreConfig, emu: Emulator) -> (Vec<String>, String, String, u64) {
+    fleet.with_lane(cfg, emu, |core| {
+        core.enable_commit_trace();
+        let stats = core.run(MAX_CYCLES);
+        let cycles = stats.cycles;
+        let stats_dbg = format!("{stats:?}");
+        let tax_dbg = format!("{:?}", stats.stall_taxonomy);
+        let commits = core.drain_commit_trace().iter().map(|ev| format!("{ev:?}")).collect();
+        (commits, stats_dbg, tax_dbg, cycles)
     })
 }
 
@@ -84,15 +83,15 @@ fn observe(cfg: CoreConfig, emu: Emulator) -> (Vec<String>, String, String, u64)
 /// diff every observable. Parked cores are revived across units; the
 /// result is a pure function of `pseed`, because a revived core is
 /// behaviourally a fresh one (pinned by the `fleet` tests).
-fn ffeq_unit(pseed: u64) -> (u64, u64, Option<FfEqMismatch>) {
+fn ffeq_unit(fleet: &mut Fleet, pseed: u64) -> (u64, u64, Option<FfEqMismatch>) {
     let (cfg, label) = config_for_seed(pseed);
     let emu = gen::generate(pseed).build();
     let mut cfg_on = cfg.clone();
     cfg_on.fast_forward = true;
     let mut cfg_off = cfg;
     cfg_off.fast_forward = false;
-    let (commits_on, stats_on, tax_on, cycles) = observe(cfg_on, emu.clone());
-    let (commits_off, stats_off, tax_off, _) = observe(cfg_off, emu);
+    let (commits_on, stats_on, tax_on, cycles) = observe(fleet, cfg_on, emu.clone());
+    let (commits_off, stats_off, tax_off, _) = observe(fleet, cfg_off, emu);
     let mismatch = |detail: String| FfEqMismatch { program_seed: pseed, config: label, detail };
     let diff = if tax_on != tax_off {
         Some(mismatch(format!("stall taxonomy differs:\n  ff  {tax_on}\n  off {tax_off}")))
@@ -114,8 +113,9 @@ fn ffeq_unit(pseed: u64) -> (u64, u64, Option<FfEqMismatch>) {
 
 /// Runs the fast-forward equivalence campaign over `programs` fuzz
 /// programs derived from campaign `seed`, sharding run pairs over `jobs`
-/// worker threads. `progress` is called after every completed pair with
-/// `(done, total)`. The outcome is byte-identical to a serial run.
+/// worker threads, each with its own [`Fleet`]. `progress` is called
+/// after every completed pair with `(done, total)`. The outcome is
+/// byte-identical to a serial run.
 pub fn ff_equivalence_campaign(
     programs: u64,
     seed: u64,
@@ -126,8 +126,9 @@ pub fn ff_equivalence_campaign(
 
     let seeds = program_seeds(seed, programs);
     let done = AtomicU64::new(0);
-    let units = orinoco_util::pool::parallel_map(jobs, &seeds, |_, &pseed| {
-        let unit = ffeq_unit(pseed);
+    let mut next = seeds.iter().copied();
+    let units = ordered_pipeline_map(jobs, |_| Fleet::new(), || next.next(), |fleet, _, pseed| {
+        let unit = ffeq_unit(fleet, pseed);
         progress(done.fetch_add(1, Ordering::Relaxed) + 1, programs);
         unit
     });
@@ -137,54 +138,6 @@ pub fn ff_equivalence_campaign(
         out.total_cycles += cycles;
         out.total_commits += commits;
         out.mismatches.extend(mismatch);
-    }
-    out
-}
-
-/// A wire-transportable slice of a fast-forward equivalence campaign,
-/// mirroring [`crate::CampaignChunk`] for the ffeq units: counters over a
-/// contiguous seed range, merging in seed order to the whole-campaign
-/// totals. Mismatches ship as replayable program seeds only.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FfEqChunk {
-    /// FF-on/FF-off pairs diffed in this chunk.
-    pub programs_run: u64,
-    /// Simulated cycles (fast-forwarded run of each pair), summed.
-    pub total_cycles: u64,
-    /// Commit events cross-checked between the paired runs.
-    pub total_commits: u64,
-    /// Program seeds whose pair disagreed on an observable (replayable).
-    pub mismatch_seeds: Vec<u64>,
-}
-
-impl FfEqChunk {
-    /// Accumulates `other` into `self` (sums and appends only).
-    pub fn merge(&mut self, other: &FfEqChunk) {
-        self.programs_run += other.programs_run;
-        self.total_cycles += other.total_cycles;
-        self.total_commits += other.total_commits;
-        self.mismatch_seeds.extend_from_slice(&other.mismatch_seeds);
-    }
-}
-
-/// Runs the `[start, start + count)` slice of a `programs`-pair ffeq
-/// campaign and returns the chunk counters — the server-dispatchable
-/// sharding unit for [`ff_equivalence_campaign`]. Deterministic and
-/// clamped exactly like [`crate::campaign_chunk`].
-#[must_use]
-pub fn ffeq_chunk(campaign_seed: u64, start: u64, count: u64, programs: u64) -> FfEqChunk {
-    let seeds = program_seeds(campaign_seed, programs);
-    let lo = start.min(programs) as usize;
-    let hi = start.saturating_add(count).min(programs) as usize;
-    let mut out = FfEqChunk::default();
-    for &pseed in &seeds[lo..hi] {
-        let (cycles, commits, mismatch) = ffeq_unit(pseed);
-        out.programs_run += 1;
-        out.total_cycles += cycles;
-        out.total_commits += commits;
-        if mismatch.is_some() {
-            out.mismatch_seeds.push(pseed);
-        }
     }
     out
 }
@@ -288,8 +241,9 @@ pub fn sys_ff_equivalence_campaign(
     }
     let total = units.len() as u64;
     let done = AtomicU64::new(0);
-    let results = orinoco_util::pool::parallel_map(jobs, &units, |_, unit| {
-        let r = match *unit {
+    let mut next = units.into_iter();
+    let results = ordered_pipeline_map(jobs, |_| (), || next.next(), |(), _, unit| {
+        let r = match unit {
             Unit::Generated(pseed) => {
                 let spec = mcm::generate_mt(pseed);
                 sys_ffeq_pair(pseed, "system-mt", |ff| mcm::build_system_ff(&spec, pseed, ff))

@@ -32,10 +32,7 @@ pub mod order;
 pub mod syslitmus;
 pub mod traceinv;
 
-pub use ffeq::{
-    ff_equivalence_campaign, ffeq_chunk, sys_ff_equivalence_campaign, FfEqChunk, FfEqMismatch,
-    FfEqOutcome,
-};
+pub use ffeq::{ff_equivalence_campaign, sys_ff_equivalence_campaign, FfEqMismatch, FfEqOutcome};
 pub use gen::{generate, shrink, ProgSpec};
 pub use mcm::{check_tso, extract_trace, mcm_campaign, McmOutcome, McmTrace, McmViolation};
 pub use oracle::{
@@ -45,26 +42,9 @@ pub use order::{order_campaign, OrderFailure, OrderOutcome};
 pub use traceinv::{check_lifecycle, trace_invariant_campaign, TraceCheck, TraceInvOutcome};
 
 use orinoco_core::{CommitKind, CoreConfig, Fleet, SchedulerKind};
+use orinoco_util::pool::ordered_pipeline_map;
 use orinoco_util::Rng;
 use std::time::{Duration, Instant};
-
-std::thread_local! {
-    /// Per-thread core cache shared by every campaign unit that runs on
-    /// this thread. Campaign workers burn most of their short-program
-    /// time constructing cores; handing units their core through
-    /// [`Fleet::with_lane`] revives a parked same-shape core via
-    /// `Core::reset_with` instead (behavioural equivalence to fresh cores
-    /// is pinned by the `reset`/`fleet` test suites in `orinoco-core`).
-    /// Thread-local so `parallel_map` workers never contend; the cache
-    /// stays small — one core per distinct configuration shape the
-    /// campaigns rotate.
-    static UNIT_FLEET: std::cell::RefCell<Fleet> = std::cell::RefCell::new(Fleet::new());
-}
-
-/// Runs `f` with this thread's campaign [`Fleet`]. Not reentrant.
-pub(crate) fn with_unit_fleet<R>(f: impl FnOnce(&mut Fleet) -> R) -> R {
-    UNIT_FLEET.with(|fleet| f(&mut fleet.borrow_mut()))
-}
 
 /// Salt mixed into the campaign seed stream.
 const CAMPAIGN_SALT: u64 = 0x0421_F0CC;
@@ -204,19 +184,17 @@ struct CleanUnit {
     failure: Option<ProgramFailure>,
 }
 
-/// One clean-pass co-simulation: run the seeded program, and shrink any
-/// divergence to a minimal reproducer. Pure function of `pseed` (the
-/// thread-local fleet only recycles cores, which is behaviourally
-/// invisible), so the parallel and serial campaigns produce identical
-/// units. The shrink loop on the rare divergence path keeps plain
-/// [`run_cosim`] — a diverged core may be mid-panic-prone state, and
-/// shrinking is not throughput-critical.
-fn clean_unit(pseed: u64) -> CleanUnit {
+/// One clean-pass co-simulation on a core of the worker's `fleet`: run
+/// the seeded program, and shrink any divergence to a minimal reproducer.
+/// Pure function of `pseed` (the fleet only recycles cores, which is
+/// behaviourally invisible), so the parallel and serial campaigns produce
+/// identical units. The shrink loop on the rare divergence path keeps
+/// plain [`run_cosim`] — a diverged core may be mid-panic-prone state,
+/// and shrinking is not throughput-critical.
+fn clean_unit(fleet: &mut Fleet, pseed: u64) -> CleanUnit {
     let (cfg, label) = config_for_seed(pseed);
     let spec = gen::generate(pseed);
-    let report = with_unit_fleet(|fleet| {
-        run_cosim_pooled(fleet, &spec.build(), cfg.clone(), &CosimOptions::default())
-    });
+    let report = run_cosim_pooled(fleet, &spec.build(), cfg.clone(), &CosimOptions::default());
     let failure = if let Some(div) = report.divergence {
         let size_before = spec.size();
         let still_fails = |s: &ProgSpec| {
@@ -262,7 +240,7 @@ struct InjectUnit {
 /// (stopping at the first catch). Pure function of `pseed` aside from the
 /// deadline check, so parallel and serial campaigns agree whenever no
 /// time budget intervenes.
-fn inject_unit(pseed: u64, out_of_time: &impl Fn() -> bool) -> InjectUnit {
+fn inject_unit(fleet: &mut Fleet, pseed: u64, out_of_time: &impl Fn() -> bool) -> InjectUnit {
     let mut unit = InjectUnit { ran: true, truncated: false, runs: 0, fired: 0, caught: 0 };
     let ordinals = [1, 2, (pseed >> 8) % 13 + 3, (pseed >> 16) % 29 + 1, (pseed >> 32) % 47 + 1];
     let emu = gen::generate(pseed).build();
@@ -276,7 +254,7 @@ fn inject_unit(pseed: u64, out_of_time: &impl Fn() -> bool) -> InjectUnit {
             .with_commit(CommitKind::Orinoco);
         cfg.seed = pseed;
         let opts = CosimOptions { inject_spec_flip: Some(nth), ..CosimOptions::default() };
-        let report = with_unit_fleet(|fleet| run_cosim_pooled(fleet, &emu, cfg, &opts));
+        let report = run_cosim_pooled(fleet, &emu, cfg, &opts);
         unit.runs += 1;
         if report.injection_fired {
             unit.fired += 1;
@@ -295,27 +273,14 @@ fn inject_unit(pseed: u64, out_of_time: &impl Fn() -> bool) -> InjectUnit {
 /// `deadline` caps wall-clock time (for CI smoke runs); `progress` is
 /// called after every co-simulation with `(done, total)`.
 ///
-/// Serial front end of [`fuzz_campaign_par`] with `jobs = 1`.
+/// The per-seed units are sharded over `jobs` worker threads, each with
+/// its own [`Fleet`], and merged in seed order, so the outcome (failures,
+/// counters, verdict) is **byte-identical to a serial run** whenever no
+/// `deadline` truncates the campaign. Each unit is a pure function of its
+/// program seed; the merge accumulates units in seed order and stops at
+/// the first unit the time budget skipped, mirroring the serial
+/// early-exit.
 pub fn fuzz_campaign(
-    programs: u64,
-    seed: u64,
-    deadline: Option<Duration>,
-    progress: impl FnMut(u64, u64) + Send,
-) -> FuzzOutcome {
-    let progress = std::sync::Mutex::new(progress);
-    fuzz_campaign_par(programs, seed, deadline, 1, |done, total| {
-        (progress.lock().expect("progress callback poisoned"))(done, total);
-    })
-}
-
-/// Parallel fuzz campaign: shards the per-seed co-simulation units over
-/// `jobs` worker threads via [`orinoco_util::pool::parallel_map`] and
-/// merges the results in seed order, so the outcome (failures, counters,
-/// verdict) is **byte-identical to a serial run** whenever no `deadline`
-/// truncates the campaign. Each unit is a pure function of its program
-/// seed; the merge accumulates units in seed order and stops at the first
-/// unit the time budget skipped, mirroring the serial early-exit.
-pub fn fuzz_campaign_par(
     programs: u64,
     seed: u64,
     deadline: Option<Duration>,
@@ -338,11 +303,12 @@ pub fn fuzz_campaign_par(
     // every worker thread for both passes.
     oracle::with_quiet_panics(|| {
         // Clean pass: the pipeline must be architecturally invisible.
-        let clean = orinoco_util::pool::parallel_map(jobs, &seeds, |_, &pseed| {
+        let mut next = seeds.iter().copied();
+        let clean = ordered_pipeline_map(jobs, |_| Fleet::new(), || next.next(), |fleet, _, pseed| {
             if out_of_time() {
                 return CleanUnit { ran: false, cycles: 0, commits: 0, ooo_commits: 0, failure: None };
             }
-            let unit = clean_unit(pseed);
+            let unit = clean_unit(fleet, pseed);
             tick(&done);
             unit
         });
@@ -359,11 +325,12 @@ pub fn fuzz_campaign_par(
         }
 
         // Injection pass: prove the oracle is load-bearing.
-        let inject = orinoco_util::pool::parallel_map(jobs, &seeds, |_, &pseed| {
+        let mut next = seeds.iter().copied();
+        let inject = ordered_pipeline_map(jobs, |_| Fleet::new(), || next.next(), |fleet, _, pseed| {
             if out_of_time() {
                 return InjectUnit { ran: false, truncated: false, runs: 0, fired: 0, caught: 0 };
             }
-            let unit = inject_unit(pseed, &out_of_time);
+            let unit = inject_unit(fleet, pseed, &out_of_time);
             tick(&done);
             unit
         });
@@ -381,88 +348,6 @@ pub fn fuzz_campaign_par(
             }
         }
     });
-    out
-}
-
-/// A wire-transportable slice of a fuzz campaign: the counters
-/// [`campaign_chunk`] accumulates over a contiguous range of the
-/// campaign's seed stream. Chunks merged in seed order reproduce the
-/// whole-campaign counters exactly (pinned by the `chunking` tests), so a
-/// campaign can be sharded across server workers — or across machines —
-/// without changing its verdict.
-///
-/// Failures carry only the program seed: `verif replay <seed>` rebuilds
-/// the full reproducer, so a chunk never has to ship a `ProgSpec`.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct CampaignChunk {
-    /// Programs co-simulated in this chunk's clean pass.
-    pub programs_run: u64,
-    /// Pipeline cycles simulated in the clean pass.
-    pub total_cycles: u64,
-    /// Commits cross-checked in the clean pass.
-    pub total_commits: u64,
-    /// Commits observed out of order.
-    pub total_ooo_commits: u64,
-    /// Program seeds whose clean run diverged (replayable).
-    pub failure_seeds: Vec<u64>,
-    /// Injection-pass runs attempted.
-    pub injection_runs: u64,
-    /// Runs where the armed SPEC flip actually fired.
-    pub injection_fired: u64,
-    /// Runs where the oracle caught the injected bug.
-    pub injection_caught: u64,
-}
-
-impl CampaignChunk {
-    /// Accumulates `other` into `self`. Merging chunks in seed order is
-    /// associative-by-construction: every field is a sum or an append.
-    pub fn merge(&mut self, other: &CampaignChunk) {
-        self.programs_run += other.programs_run;
-        self.total_cycles += other.total_cycles;
-        self.total_commits += other.total_commits;
-        self.total_ooo_commits += other.total_ooo_commits;
-        self.failure_seeds.extend_from_slice(&other.failure_seeds);
-        self.injection_runs += other.injection_runs;
-        self.injection_fired += other.injection_fired;
-        self.injection_caught += other.injection_caught;
-    }
-}
-
-/// Runs the `[start, start + count)` slice of a `programs`-seed fuzz
-/// campaign — clean pass and SPEC-flip injection pass — and returns the
-/// chunk counters. The unit of sharding the campaign server dispatches.
-///
-/// Deterministic: no deadline, every unit is a pure function of its seed,
-/// so any partitioning of `0..programs` into chunks merges to the same
-/// totals as [`fuzz_campaign`] with no time budget (the chunking tests
-/// pin this). The range is clamped to the campaign length.
-///
-/// Unlike [`fuzz_campaign`], no quiet-panic hook is installed — hooks are
-/// process-global and chunks may run concurrently on server workers, so
-/// the caller decides (the server installs one hook at startup; tests
-/// wrap chunk loops in [`oracle::with_quiet_panics`]).
-#[must_use]
-pub fn campaign_chunk(campaign_seed: u64, start: u64, count: u64, programs: u64) -> CampaignChunk {
-    let seeds = program_seeds(campaign_seed, programs);
-    let lo = start.min(programs) as usize;
-    let hi = start.saturating_add(count).min(programs) as usize;
-    let mut out = CampaignChunk::default();
-    for &pseed in &seeds[lo..hi] {
-        let unit = clean_unit(pseed);
-        out.programs_run += 1;
-        out.total_cycles += unit.cycles;
-        out.total_commits += unit.commits;
-        out.total_ooo_commits += unit.ooo_commits;
-        if unit.failure.is_some() {
-            out.failure_seeds.push(pseed);
-        }
-    }
-    for &pseed in &seeds[lo..hi] {
-        let unit = inject_unit(pseed, &|| false);
-        out.injection_runs += unit.runs;
-        out.injection_fired += unit.fired;
-        out.injection_caught += unit.caught;
-    }
     out
 }
 
@@ -494,7 +379,7 @@ mod tests {
 
     #[test]
     fn small_campaign_is_clean_and_catches_injection() {
-        let out = fuzz_campaign(12, 0xD1FF, None, |_, _| {});
+        let out = fuzz_campaign(12, 0xD1FF, None, 1, |_, _| {});
         assert_eq!(out.programs_run, 12);
         assert!(
             out.failures.is_empty(),
@@ -509,45 +394,10 @@ mod tests {
 
     #[test]
     fn parallel_campaign_is_byte_identical_to_serial() {
-        let serial = fuzz_campaign(12, 0xD1FF, None, |_, _| {});
-        let par = fuzz_campaign_par(12, 0xD1FF, None, 3, |_, _| {});
+        let serial = fuzz_campaign(12, 0xD1FF, None, 1, |_, _| {});
+        let par = fuzz_campaign(12, 0xD1FF, None, 3, |_, _| {});
         assert_eq!(format!("{serial:?}"), format!("{par:?}"));
         assert!(serial.passed() && par.passed());
-    }
-
-    #[test]
-    fn chunked_campaign_merges_to_whole_campaign_counters() {
-        let whole = fuzz_campaign(12, 0xD1FF, None, |_, _| {});
-        // Uneven partition on purpose: 5 + 4 + 3, plus a clamped tail.
-        let mut merged = CampaignChunk::default();
-        for (start, count) in [(0, 5), (5, 4), (9, 7)] {
-            merged.merge(&oracle::with_quiet_panics(|| campaign_chunk(0xD1FF, start, count, 12)));
-        }
-        assert_eq!(merged.programs_run, whole.programs_run);
-        assert_eq!(merged.total_cycles, whole.total_cycles);
-        assert_eq!(merged.total_commits, whole.total_commits);
-        assert_eq!(merged.total_ooo_commits, whole.total_ooo_commits);
-        assert_eq!(merged.injection_runs, whole.injection_runs);
-        assert_eq!(merged.injection_fired, whole.injection_fired);
-        assert_eq!(merged.injection_caught, whole.injection_caught);
-        let whole_failure_seeds: Vec<u64> =
-            whole.failures.iter().map(|f| f.program_seed).collect();
-        assert_eq!(merged.failure_seeds, whole_failure_seeds);
-    }
-
-    #[test]
-    fn chunked_ffeq_merges_to_whole_campaign_counters() {
-        let whole = ff_equivalence_campaign(8, 7, 1, |_, _| {});
-        let mut merged = FfEqChunk::default();
-        for (start, count) in [(0, 3), (3, 3), (6, 99)] {
-            merged.merge(&ffeq_chunk(7, start, count, 8));
-        }
-        assert_eq!(merged.programs_run, whole.programs_run);
-        assert_eq!(merged.total_cycles, whole.total_cycles);
-        assert_eq!(merged.total_commits, whole.total_commits);
-        let whole_mismatch_seeds: Vec<u64> =
-            whole.mismatches.iter().map(|m| m.program_seed).collect();
-        assert_eq!(merged.mismatch_seeds, whole_mismatch_seeds);
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! oracle must be proven load-bearing in the same run).
 
 use orinoco_verif::{
-    ff_equivalence_campaign, fuzz_campaign_par, litmus, mcm_campaign, order, order_campaign,
+    ff_equivalence_campaign, fuzz_campaign, litmus, mcm_campaign, order, order_campaign,
     replay, sys_ff_equivalence_campaign, syslitmus, trace_invariant_campaign,
 };
 use std::process::ExitCode;
@@ -88,7 +88,7 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
     }
     println!("fuzz: {programs} programs, campaign seed {seed}, {jobs} jobs");
     let last_decile = std::sync::atomic::AtomicU64::new(0);
-    let out = fuzz_campaign_par(programs, seed, max_seconds, jobs, |done, total| {
+    let out = fuzz_campaign(programs, seed, max_seconds, jobs, |done, total| {
         let decile = done * 10 / total;
         if last_decile.fetch_max(decile, std::sync::atomic::Ordering::Relaxed) < decile {
             println!("  ... {done}/{total} co-simulations");

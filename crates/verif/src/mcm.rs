@@ -35,7 +35,7 @@ use crate::program_seeds;
 use orinoco_core::{CommitKind, Core, CoreConfig, SchedulerKind, System, SystemConfig};
 use orinoco_isa::{ArchReg, Emulator, InstClass, ProgramBuilder};
 use orinoco_mem::coherence::{CohStats, WriteId};
-use orinoco_util::pool::parallel_map;
+use orinoco_util::pool::ordered_pipeline_map;
 use orinoco_util::Rng;
 use orinoco_workloads::multicore::SharedWorkload;
 use std::collections::BTreeMap;
@@ -767,9 +767,13 @@ pub fn mcm_campaign(
 ) -> McmOutcome {
     let seeds = program_seeds(campaign_seed, programs);
     let done = AtomicU64::new(0);
-    let units: Vec<McmUnit> = parallel_map(jobs, &seeds, |_, &pseed| {
-        let unit = with_quiet_panics(|| {
-            std::panic::catch_unwind(|| mcm_unit(pseed)).unwrap_or_else(|p| McmUnit {
+    // The quiet-panic hook is process-global: one installation around the
+    // whole map covers every worker, where one per unit would race other
+    // workers' swaps and could leave a silent hook behind.
+    let units: Vec<McmUnit> = with_quiet_panics(|| {
+        let mut next = seeds.iter().copied();
+        ordered_pipeline_map(jobs, |_| (), || next.next(), |(), _, pseed| {
+            let unit = std::panic::catch_unwind(|| mcm_unit(pseed)).unwrap_or_else(|p| McmUnit {
                 pseed,
                 events: 0,
                 installs: 0,
@@ -778,10 +782,10 @@ pub fn mcm_campaign(
                     axiom: "panic",
                     detail: orinoco_util::panic_message(&*p),
                 }),
-            })
-        });
-        progress(done.fetch_add(1, Ordering::Relaxed) + 1, programs);
-        unit
+            });
+            progress(done.fetch_add(1, Ordering::Relaxed) + 1, programs);
+            unit
+        })
     });
     let mut out = McmOutcome {
         programs_run: units.len() as u64,

@@ -132,7 +132,8 @@ pub fn order_campaign(
 
     let seeds = program_seeds(seed, programs);
     let done = AtomicU64::new(0);
-    let units = orinoco_util::pool::parallel_map(jobs, &seeds, |_, &pseed| {
+    let mut next = seeds.iter().copied();
+    let units = orinoco_util::pool::ordered_pipeline_map(jobs, |_| (), || next.next(), |(), _, pseed| {
         let unit: Vec<_> = CONFIGS
             .iter()
             .map(|&(label, mk)| (label, checked_run(pseed, mk())))
