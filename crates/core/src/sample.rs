@@ -17,9 +17,9 @@
 //!   in flight (the window closes at a commit count, not at a drain, so
 //!   no artificial pipeline-drain tail biases the CPI).
 //!
-//! With [`SampleConfig::functional_warming`] (on by default) the
-//! fast-forward is not blind: every executed instruction also walks the
-//! cache tag arrays and trains the branch predictor/BTB/RAS
+//! The fast-forward is not blind: every executed instruction (within the
+//! [`SampleConfig::warm_horizon`], when one is set) also walks the cache
+//! tag arrays and trains the branch predictor/BTB/RAS
 //! ([`WarmState::warm_step`]), so each detailed interval starts from the
 //! microarchitectural state a full run would have accumulated. This is
 //! the load-bearing half of SMARTS: detailed warmup alone cannot rebuild
@@ -41,8 +41,8 @@
 //! bounded queue. Each worker holds a private [`Fleet`] and runs its
 //! intervals through [`Fleet::with_lane`] — the core is revived
 //! allocation-free across intervals, and a panicking interval discards
-//! the lane (broken invariants are never revived) and retries once on a
-//! freshly built core before propagating. Results merge **in production
+//! the lane (broken invariants are never revived) and ends the run with
+//! the panic a serial run raises. Results merge **in production
 //! order**, so [`SampledStats`] — estimates, CI95, taxonomy, and
 //! [`SampledStats::summary`] — is byte-identical at any thread count;
 //! the bounded queue caps how many checkpoints (each carrying a full
@@ -120,16 +120,6 @@ pub struct SampleConfig {
     /// `period_insts - warmup_insts - detail_insts` is fast-forwarded
     /// functionally.
     pub period_insts: u64,
-    /// Functionally warm caches, prefetcher and branch predictors along
-    /// the whole fast-forward path (default `true`), so every interval
-    /// starts from the microarchitectural state a full run would have
-    /// reached. With `false` every interval starts cold and the detailed
-    /// warmup must cover all training — expect large negative IPC bias on
-    /// cache-resident workloads.
-    pub functional_warming: bool,
-    /// Upper bound on detailed intervals (0 = unbounded). The remaining
-    /// program still counts toward `total_insts`.
-    pub max_intervals: usize,
     /// Per-interval detailed-cycle budget; exceeding it is a deadlock
     /// panic, mirroring [`Core::run`].
     pub max_cycles_per_interval: u64,
@@ -176,11 +166,6 @@ pub struct SampleConfig {
     /// runs only the k representative intervals, weighted by cluster
     /// size. `None` (the default) samples every stratum.
     pub phases: Option<usize>,
-    /// Test-only chaos hook: panic the *first* attempt of the detailed
-    /// interval with this production index, exercising the
-    /// lane-discard-and-retry path. Never set outside tests.
-    #[doc(hidden)]
-    pub chaos_panic_interval: Option<usize>,
 }
 
 impl SampleConfig {
@@ -198,15 +183,12 @@ impl SampleConfig {
             warmup_insts: w,
             detail_insts: d,
             period_insts: p,
-            functional_warming: true,
-            max_intervals: 0,
             max_cycles_per_interval: DEFAULT_MAX_CYCLES_PER_INTERVAL,
             jitter_seed: Some(DEFAULT_JITTER_SEED),
             wrong_path_depth: None,
             warm_horizon: None,
             threads: 1,
             phases: None,
-            chaos_panic_interval: None,
         };
         if let Err(e) = cfg.validate() {
             panic!("{e}");
@@ -215,11 +197,12 @@ impl SampleConfig {
     }
 
     /// The largest [`SampleConfig::threads`] a configuration may ask for.
-    /// The sampler starts every worker as an OS thread up front, however
-    /// few intervals the program has, so a larger count is refused rather
-    /// than attempted: 256 is far above the core count of any host the
-    /// simulator runs on and far below the thread count that exhausts
-    /// process ids.
+    /// The pool starts a worker thread only when the producer issues an
+    /// interval, so a run starts at most `min(threads, intervals)` OS
+    /// threads, and its queue holds at most `threads + 2` checkpoints,
+    /// each with a full memory image. The ceiling bounds both: 256 is far
+    /// above the core count of any host the simulator runs on and far
+    /// below the thread count that exhausts process ids.
     pub const MAX_THREADS: usize = 256;
 
     /// Checks the parameter invariants: `detail_insts > 0`,
@@ -229,8 +212,8 @@ impl SampleConfig {
     /// # Errors
     ///
     /// Returns a human-readable description of the first violated
-    /// invariant. (Construction paths panic on this; request paths — the
-    /// campaign server's `Sample` jobs — surface it as a failed job.)
+    /// invariant. ([`SampleConfig::new`] and [`run_sampled`] panic on
+    /// it.)
     pub fn validate(&self) -> Result<(), String> {
         if self.detail_insts == 0 {
             return Err("detail_insts must be positive".into());
@@ -254,25 +237,11 @@ impl SampleConfig {
         Ok(())
     }
 
-    /// Disables functional warming (cold caches/predictors per interval).
-    #[must_use]
-    pub fn cold(mut self) -> Self {
-        self.functional_warming = false;
-        self
-    }
-
     /// Plain systematic sampling (no stratified jitter) — aliasing-prone;
     /// see [`SampleConfig::jitter_seed`].
     #[must_use]
     pub fn systematic(mut self) -> Self {
         self.jitter_seed = None;
-        self
-    }
-
-    /// Caps the number of detailed intervals.
-    #[must_use]
-    pub fn with_max_intervals(mut self, n: usize) -> Self {
-        self.max_intervals = n;
         self
     }
 
@@ -306,15 +275,6 @@ impl SampleConfig {
     #[must_use]
     pub fn phases(mut self, k: usize) -> Self {
         self.phases = Some(k);
-        self
-    }
-
-    /// Test-only: panic the first attempt of detailed interval `index`
-    /// (production order) to exercise lane discard + retry.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn with_chaos_panic(mut self, index: usize) -> Self {
-        self.chaos_panic_interval = Some(index);
         self
     }
 }
@@ -700,7 +660,7 @@ pub fn cluster_bbvs(bbvs: &[Vec<f64>], k: usize, seed: u64) -> Vec<(usize, u64)>
 /// cloned at the fork point, and the estimator bookkeeping.
 struct SamplePoint {
     ck: EmuCheckpoint,
-    warm: Option<WarmState>,
+    warm: WarmState,
     start_inst: u64,
     weight: u64,
 }
@@ -718,30 +678,21 @@ struct IntervalOut {
 /// One detailed interval on a pooled lane: restore the checkpoint, revive
 /// a core over it, apply the warm image, run warmup then the measured
 /// window. Panics propagate out of [`Fleet::with_lane`] with the lane
-/// discarded; the caller retries once on a fresh core.
+/// discarded.
 fn run_interval(
     fleet: &mut Fleet,
     cfg: &CoreConfig,
     scfg: &SampleConfig,
     program: &Program,
     pt: &SamplePoint,
-    chaos: bool,
 ) -> IntervalOut {
     let emu = Emulator::restore(program.clone(), &pt.ck);
     fleet.with_lane(cfg.clone(), emu, |c| {
-        if let Some(w) = &pt.warm {
-            c.apply_warm_state(w);
-        }
+        c.apply_warm_state(&pt.warm);
         let w_target = scfg.warmup_insts;
         let d_target = scfg.warmup_insts + scfg.detail_insts;
         let limit = scfg.max_cycles_per_interval;
         c.run_to_commit(w_target, limit);
-        if chaos {
-            panic!(
-                "chaos: injected worker panic at interval starting inst {}",
-                pt.start_inst
-            );
-        }
         let warmed = c.stats().committed;
         let c0 = c.cycle();
         let tax0 = c.stats().stall_taxonomy;
@@ -804,14 +755,10 @@ pub fn run_sampled(emu: Emulator, cfg: CoreConfig, scfg: &SampleConfig) -> Sampl
 
     // The initial (cold) warm image comes from a throwaway core so the
     // snapshot matches the exact construction state every lane resets to.
-    let mut warm: Option<WarmState> = scfg.functional_warming.then(|| {
-        let seed_core = Core::new(master.fork_rebased(), cfg.clone());
-        let mut w = seed_core.save_warm_state();
-        if let Some(depth) = scfg.wrong_path_depth {
-            w.set_wrong_path_depth(depth);
-        }
-        w
-    });
+    let mut warm = Core::new(master.fork_rebased(), cfg.clone()).save_warm_state();
+    if let Some(depth) = scfg.wrong_path_depth {
+        warm.set_wrong_path_depth(depth);
+    }
 
     // Producer state: one jitter draw per stratum *index* — skipped
     // strata (phase plan) still consume their draw, so a representative
@@ -825,7 +772,6 @@ pub fn run_sampled(emu: Emulator, cfg: CoreConfig, scfg: &SampleConfig) -> Sampl
     let mut stratum_idx = 0u64;
     let mut stratum_start = 0u64;
     let mut plan_pos = 0usize;
-    let mut produced = 0usize;
     let mut done = false;
 
     let produce = || -> Option<SamplePoint> {
@@ -836,20 +782,11 @@ pub fn run_sampled(emu: Emulator, cfg: CoreConfig, scfg: &SampleConfig) -> Sampl
             done = true;
             return None;
         }
-        let capped = scfg.max_intervals != 0 && produced >= scfg.max_intervals;
         let (target, weight) = match &plan {
-            Some(p) if !capped && plan_pos < p.len() => p[plan_pos],
+            Some(p) if plan_pos < p.len() => p[plan_pos],
             Some(_) => {
-                // Plan exhausted or capped: the pre-pass already counted
-                // the whole program, so the master has nothing left to do.
-                done = true;
-                return None;
-            }
-            None if capped => {
-                // No further intervals: run the master out for the total
-                // instruction count. Nothing consumes the warm image any
-                // more, so the tail needs no warming either.
-                while master.step().is_some() {}
+                // Plan exhausted: the pre-pass already counted the whole
+                // program, so the master has nothing left to do.
                 done = true;
                 return None;
             }
@@ -868,17 +805,14 @@ pub fn run_sampled(emu: Emulator, cfg: CoreConfig, scfg: &SampleConfig) -> Sampl
         stratum_start = stratum_start.saturating_add(scfg.period_insts);
         // Fast-forward to the sample point. Outside the warm horizon
         // (when one is set) the master steps bare — pure architectural
-        // emulation; inside it every instruction also warms
+        // emulation; inside it, from the instruction that brings the
+        // executed count to `warm_from` on, every instruction also warms
         // caches/predictors.
+        let warm_from = scfg.warm_horizon.map_or(0, |h| fork_at.saturating_sub(h));
         while master.halt_reason().is_none() && master.executed() < fork_at {
             if let Some(d) = master.step() {
-                if let Some(w) = warm.as_mut() {
-                    let in_horizon = scfg
-                        .warm_horizon
-                        .is_none_or(|h| master.executed() + h >= fork_at);
-                    if in_horizon {
-                        w.warm_step(&d);
-                    }
+                if master.executed() >= warm_from {
+                    warm.warm_step(&d);
                 }
             }
         }
@@ -895,7 +829,6 @@ pub fn run_sampled(emu: Emulator, cfg: CoreConfig, scfg: &SampleConfig) -> Sampl
         // the image aligned with the full-run trajectory (no
         // double-training, no staleness).
         let ck = master.checkpoint();
-        produced += 1;
         plan_pos += 1;
         Some(SamplePoint {
             ck,
@@ -905,28 +838,12 @@ pub fn run_sampled(emu: Emulator, cfg: CoreConfig, scfg: &SampleConfig) -> Sampl
         })
     };
 
-    let work = |fleet: &mut Fleet, index: usize, pt: SamplePoint| -> IntervalOut {
-        let mut attempt = 0u32;
-        loop {
-            let chaos = scfg.chaos_panic_interval == Some(index) && attempt == 0;
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_interval(fleet, &cfg, scfg, &program, &pt, chaos)
-            }));
-            match r {
-                Ok(out) => return out,
-                Err(payload) => {
-                    // The lane was discarded by `with_lane`; retry once on
-                    // a freshly built core (reset ≡ fresh is pinned, so a
-                    // retried interval is byte-identical to an untroubled
-                    // one). A second failure is a real, deterministic
-                    // panic — propagate it.
-                    attempt += 1;
-                    if attempt >= 2 {
-                        std::panic::resume_unwind(payload);
-                    }
-                }
-            }
-        }
+    // An interval that panics would panic again on a fresh core, because
+    // a revived core equals a fresh one (the reset and fleet tests pin
+    // it). So nothing retries: `with_lane` drops the lane, and the pool
+    // re-raises the panic of the lowest-indexed failed interval.
+    let work = |fleet: &mut Fleet, _: usize, pt: SamplePoint| {
+        run_interval(fleet, &cfg, scfg, &program, &pt)
     };
 
     let jobs = if scfg.threads == 0 {
@@ -1025,30 +942,12 @@ mod tests {
     }
 
     #[test]
-    fn interval_cap_limits_detail_not_totals() {
-        let scfg = SampleConfig::new(200, 1_000, 4_000).with_max_intervals(2);
-        let est = run_sampled(loop_emu(8_000), orinoco(), &scfg);
-        assert_eq!(est.intervals.len(), 2);
-        let uncapped = run_sampled(loop_emu(8_000), orinoco(), &SampleConfig::new(200, 1_000, 4_000));
-        assert_eq!(est.total_insts, uncapped.total_insts);
-    }
-
-    #[test]
     fn error_bars_shrink_with_more_intervals() {
         let few = run_sampled(loop_emu(30_000), orinoco(), &SampleConfig::new(200, 1_000, 30_000));
         let many = run_sampled(loop_emu(30_000), orinoco(), &SampleConfig::new(200, 1_000, 4_000));
         assert!(many.intervals.len() > few.intervals.len());
         // More intervals, tighter CI (same homogeneous program).
         assert!(many.cpi_stderr() <= few.cpi_stderr() + 1e-9);
-    }
-
-    #[test]
-    fn cold_mode_runs_and_reports_coverage() {
-        let scfg = SampleConfig::new(500, 1_000, 5_000).cold();
-        let est = run_sampled(loop_emu(5_000), orinoco(), &scfg);
-        assert!(!est.intervals.is_empty());
-        assert!(est.warmup_insts > 0);
-        assert!(est.summary().contains("IPC"));
     }
 
     #[test]
@@ -1098,6 +997,16 @@ mod tests {
             &SampleConfig::new(500, 2_000, 8_000).with_warm_horizon(3_000),
         );
         assert_eq!(horizon.est_cycles(), again.est_cycles());
+    }
+
+    #[test]
+    fn unbounded_warm_horizon_equals_no_horizon() {
+        // A horizon longer than the program warms every instruction, just
+        // as no horizon does; `u64::MAX` must not overflow on the way.
+        let scfg = SampleConfig::new(500, 2_000, 8_000);
+        let none = run_sampled(loop_emu(20_000), orinoco(), &scfg);
+        let max = run_sampled(loop_emu(20_000), orinoco(), &scfg.with_warm_horizon(u64::MAX));
+        assert_eq!(format!("{max:?}"), format!("{none:?}"));
     }
 
     #[test]

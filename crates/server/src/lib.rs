@@ -1,9 +1,9 @@
 //! `orinoco-server`: simulation-as-a-service for batched sweeps.
 //!
 //! A one-shot sweep binary pays full process and setup cost for every
-//! query and shares nothing between queries. This crate serves the two
-//! kinds of sweep job — `Sim`, one workload run to completion, and
-//! `Sample`, one checkpointed-sampling estimate — from one warm process:
+//! query and shares nothing between queries. This crate serves sweep
+//! jobs — `Sim`, one workload run to completion on one core
+//! configuration — from one warm process:
 //!
 //! * **Dispatch** — jobs shard across worker threads through the
 //!   strict-FIFO-per-queue mailbox dispatcher
@@ -21,9 +21,11 @@
 //! * **Streaming** — long sims report incremental cycle/commit/stall-
 //!   taxonomy progress between submission and completion.
 //!
-//! Verification campaigns are not jobs: `orinoco-verif` shards them over
-//! threads itself (`orinoco_util::pool::ordered_pipeline_map`), and this
-//! crate does not depend on it.
+//! Verification campaigns and sampled estimates are not jobs: callers run
+//! them in process (`orinoco-verif`'s campaigns,
+//! `orinoco_core::run_sampled`), and each shards its work over threads
+//! itself (`orinoco_util::pool::ordered_pipeline_map`). This crate does
+//! not depend on `orinoco-verif`.
 //!
 //! The ordering and determinism contracts — per-queue FIFO completion
 //! under contention, byte-identical results cached or fresh, serial
@@ -44,7 +46,6 @@ pub use cache::{CacheStats, ResultCache};
 pub use net::{TcpClient, TcpFront};
 pub use programs::{ProgramStats, PROGRAM_BUDGET_BYTES};
 pub use protocol::{
-    ConfigSpec, JobResult, JobSpec, Preset, Request, Response, SampleSpec, SampledResult,
-    SimResult, SimSpec, WireError,
+    ConfigSpec, JobResult, JobSpec, Preset, Request, Response, SimResult, SimSpec, WireError,
 };
 pub use server::{run_one_shot, Client, Server};

@@ -11,16 +11,12 @@
 //!
 //! The same canonical encoding doubles as the cache identity: a job's
 //! cache key is the FNV-128 of its [`JobSpec`] encoding with the
-//! result-invariant fields (`SimSpec::progress_cycles`, and
-//! `SampleSpec::threads` up to its ceiling) zeroed — see
+//! result-invariant field `SimSpec::progress_cycles` zeroed — see
 //! [`JobSpec::cache_key`]. Two specs collide only if their canonical
 //! encodings are byte-identical, which the cache-determinism property
 //! test exploits directly.
 
-use orinoco_core::{
-    CommitKind, CoreConfig, SampleConfig, SchedulerKind, DEFAULT_JITTER_SEED,
-    DEFAULT_MAX_CYCLES_PER_INTERVAL,
-};
+use orinoco_core::{CommitKind, CoreConfig, SchedulerKind};
 use orinoco_workloads::Workload;
 
 /// Frame magic: protocol identity and version in one.
@@ -180,7 +176,7 @@ fn to_tag<T: Copy + PartialEq>(all: &[T], value: T) -> u8 {
 }
 
 /// The `Workload::build` scale a spec's `scale` names: at least 1 and at
-/// most `u32::MAX`. Both spec decoders and every path that builds a
+/// most `u32::MAX`. The spec decoder and every path that builds a
 /// spec's program check here, so an in-process job is refused exactly
 /// like a decoded one instead of panicking in `Workload::build` or
 /// truncating to another scale.
@@ -386,178 +382,41 @@ impl SimSpec {
     }
 }
 
-/// One checkpointed-sampling job: the workload is *estimated* from
-/// stratified (or phase-clustered) detailed intervals instead of being
-/// simulated end to end — the server-side face of
-/// [`orinoco_core::run_sampled`].
-///
-/// Sample parameters are carried as plain integers with 0 meaning "none"
-/// (`warm_horizon`, `max_intervals`, `phases`) or "auto" (`threads`), so
-/// the wire format stays fixed-width and the cache key total. The decoder
-/// only enforces wire-level invariants (`scale`); *semantic* validity
-/// (`period ≥ warmup + detail`, …) is checked by
-/// [`SampleConfig::validate`] when the job runs, so a bad spec surfaces
-/// as a `Failed` response rather than a rejected frame or a panicked
-/// worker.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SampleSpec {
-    /// Core configuration.
-    pub config: ConfigSpec,
-    /// Workload kernel.
-    pub workload: Workload,
-    /// Workload scale factor (≥ 1).
-    pub scale: u64,
-    /// Program/data seed, also the core seed.
-    pub seed: u64,
-    /// Detailed warmup instructions per interval.
-    pub warmup_insts: u64,
-    /// Measured instructions per interval.
-    pub detail_insts: u64,
-    /// Instructions between interval starts.
-    pub period_insts: u64,
-    /// Functional-warming horizon; 0 warms the whole stream.
-    pub warm_horizon: u64,
-    /// Upper bound on detailed intervals; 0 = unbounded.
-    pub max_intervals: u64,
-    /// Phase clusters (BBV k-means); 0 = sample every stratum.
-    pub phases: u64,
-    /// Worker threads for the detailed intervals; 0 = auto, at most
-    /// [`SampleConfig::MAX_THREADS`]. The sampled result is
-    /// byte-identical at any accepted thread count, so like
-    /// `progress_cycles` an accepted count is zeroed out of the cache key
-    /// — it changes wall-clock time, never the answer.
-    pub threads: u64,
-}
-
-impl SampleSpec {
-    /// A default-shaped sampling job for `workload`: the Orinoco base
-    /// config and the validation-harness geometry (2k warmup / 10k detail
-    /// / 1M period), serial, stratified.
-    #[must_use]
-    pub fn orinoco_base(workload: Workload) -> Self {
-        Self {
-            config: ConfigSpec::orinoco_base(),
-            workload,
-            scale: 1,
-            seed: 1,
-            warmup_insts: 2_000,
-            detail_insts: 10_000,
-            period_insts: 1_000_000,
-            warm_horizon: 0,
-            max_intervals: 0,
-            phases: 0,
-            threads: 0,
-        }
-    }
-
-    /// Materialises the [`SampleConfig`] this spec describes (which may
-    /// be semantically invalid — run [`SampleConfig::validate`] before
-    /// sampling).
-    #[must_use]
-    pub fn to_sample_config(&self) -> SampleConfig {
-        SampleConfig {
-            warmup_insts: self.warmup_insts,
-            detail_insts: self.detail_insts,
-            period_insts: self.period_insts,
-            functional_warming: true,
-            max_intervals: self.max_intervals as usize,
-            max_cycles_per_interval: DEFAULT_MAX_CYCLES_PER_INTERVAL,
-            jitter_seed: Some(DEFAULT_JITTER_SEED),
-            wrong_path_depth: None,
-            warm_horizon: (self.warm_horizon > 0).then_some(self.warm_horizon),
-            threads: usize::try_from(self.threads).unwrap_or(usize::MAX),
-            phases: (self.phases > 0).then_some(self.phases as usize),
-            chaos_panic_interval: None,
-        }
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.config.encode(out);
-        out.push(to_tag(&Workload::ALL, self.workload));
-        put_u64(out, self.scale);
-        put_u64(out, self.seed);
-        put_u64(out, self.warmup_insts);
-        put_u64(out, self.detail_insts);
-        put_u64(out, self.period_insts);
-        put_u64(out, self.warm_horizon);
-        put_u64(out, self.max_intervals);
-        put_u64(out, self.phases);
-        put_u64(out, self.threads);
-    }
-
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        let spec = Self {
-            config: ConfigSpec::decode(r)?,
-            workload: from_all(&Workload::ALL, r.u8("workload")?, "workload")?,
-            scale: r.u64("scale")?,
-            seed: r.u64("seed")?,
-            warmup_insts: r.u64("warmup_insts")?,
-            detail_insts: r.u64("detail_insts")?,
-            period_insts: r.u64("period_insts")?,
-            warm_horizon: r.u64("warm_horizon")?,
-            max_intervals: r.u64("max_intervals")?,
-            phases: r.u64("phases")?,
-            threads: r.u64("threads")?,
-        };
-        workload_scale(spec.scale).map_err(|_| WireError::BadValue("scale"))?;
-        Ok(spec)
-    }
-}
-
-/// The work a client can ask for.
+/// The work a client can ask for. One kind today; the wire keeps a kind
+/// tag so that a frame names what it carries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum JobSpec {
     /// One simulation run (wire tag 0).
     Sim(SimSpec),
-    /// One checkpointed-sampling estimate (wire tag 3).
-    Sample(SampleSpec),
 }
 
 impl JobSpec {
     /// Canonical encoding (message body without framing).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            JobSpec::Sim(s) => {
-                out.push(0);
-                s.encode(&mut out);
-            }
-            JobSpec::Sample(s) => {
-                out.push(3);
-                s.encode(&mut out);
-            }
-        }
+        let JobSpec::Sim(s) = self;
+        let mut out = vec![0];
+        s.encode(&mut out);
         out
     }
 
     fn decode(r: &mut Reader) -> Result<Self, WireError> {
         match r.u8("job kind")? {
             0 => Ok(JobSpec::Sim(SimSpec::decode(r)?)),
-            3 => Ok(JobSpec::Sample(SampleSpec::decode(r)?)),
             tag => Err(WireError::UnknownTag("job kind", tag)),
         }
     }
 
     /// The canonical 128-bit cache identity of this job: FNV-128 (two
-    /// independent FNV-1a streams) over the canonical encoding with
-    /// result-invariant fields zeroed (`progress_cycles` is presentation
-    /// only; a `threads` count the sampler accepts changes wall-clock
-    /// time, never the byte-identical sampled result — one above
-    /// [`SampleConfig::MAX_THREADS`] fails, so it keeps its own key and
-    /// never shares an outcome with a valid twin). Distinct specs collide
+    /// independent FNV-1a streams) over the canonical encoding with the
+    /// presentation-only `progress_cycles` zeroed. Distinct specs collide
     /// only if their canonical encodings are byte-identical — i.e. never,
     /// since the encoding is injective over the spec fields (fixed-width,
     /// no varints, closed tag sets).
     #[must_use]
     pub fn cache_key(&self) -> u128 {
-        let mut canon = *self;
-        match &mut canon {
-            JobSpec::Sim(s) => s.progress_cycles = 0,
-            JobSpec::Sample(s) if s.threads <= SampleConfig::MAX_THREADS as u64 => s.threads = 0,
-            JobSpec::Sample(_) => {}
-        }
-        let bytes = canon.encode();
+        let JobSpec::Sim(s) = *self;
+        let bytes = JobSpec::Sim(SimSpec { progress_cycles: 0, ..s }).encode();
         let lo = fnv64_from(FNV_OFFSET, &bytes);
         let hi = fnv64_from(FNV_OFFSET_HI, &bytes);
         (u128::from(hi) << 64) | u128::from(lo)
@@ -664,108 +523,23 @@ impl SimResult {
     }
 }
 
-/// The observables of one finished sampling job. Floats travel as IEEE-754
-/// bit patterns (`f64::to_bits`) so the wire round-trip is exact and the
-/// byte-identity contract extends across the network; `summary` is the
-/// human-readable [`orinoco_core::SampledStats::summary`] line and
-/// `summary_digest` its FNV-1a fingerprint (the cheap diffable identity,
-/// mirroring `SimResult::stats_digest`).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SampledResult {
-    /// Instructions the full run retires (functional total).
-    pub total_insts: u64,
-    /// Instructions simulated in detail across all measurement windows.
-    pub detailed_insts: u64,
-    /// Instructions spent in detailed warmup.
-    pub warmup_insts: u64,
-    /// Detailed intervals run.
-    pub intervals: u64,
-    /// Total interval weight (= strata covered; equals `intervals` unless
-    /// phase clustering collapsed strata onto representatives).
-    pub weight_sum: u64,
-    /// Estimated CPI, as `f64::to_bits`.
-    pub est_cpi_bits: u64,
-    /// Relative 95% confidence half-interval, as `f64::to_bits`.
-    pub rel_ci95_bits: u64,
-    /// Human-readable summary line.
-    pub summary: String,
-    /// FNV-1a over `summary`.
-    pub summary_digest: u64,
-}
-
-impl SampledResult {
-    /// Estimated cycles per instruction.
-    #[must_use]
-    pub fn est_cpi(&self) -> f64 {
-        f64::from_bits(self.est_cpi_bits)
-    }
-
-    /// Estimated instructions per cycle.
-    #[must_use]
-    pub fn est_ipc(&self) -> f64 {
-        1.0 / self.est_cpi()
-    }
-
-    /// Relative 95% confidence half-interval on the CPI estimate.
-    #[must_use]
-    pub fn rel_ci95(&self) -> f64 {
-        f64::from_bits(self.rel_ci95_bits)
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.total_insts);
-        put_u64(out, self.detailed_insts);
-        put_u64(out, self.warmup_insts);
-        put_u64(out, self.intervals);
-        put_u64(out, self.weight_sum);
-        put_u64(out, self.est_cpi_bits);
-        put_u64(out, self.rel_ci95_bits);
-        put_str(out, &self.summary);
-        put_u64(out, self.summary_digest);
-    }
-
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        Ok(Self {
-            total_insts: r.u64("sampled total_insts")?,
-            detailed_insts: r.u64("sampled detailed_insts")?,
-            warmup_insts: r.u64("sampled warmup_insts")?,
-            intervals: r.u64("sampled intervals")?,
-            weight_sum: r.u64("sampled weight_sum")?,
-            est_cpi_bits: r.u64("sampled est_cpi")?,
-            rel_ci95_bits: r.u64("sampled rel_ci95")?,
-            summary: r.str("sampled summary")?,
-            summary_digest: r.u64("summary_digest")?,
-        })
-    }
-}
-
-/// A completed job's payload.
+/// A completed job's payload, tagged by kind like [`JobSpec`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JobResult {
     /// Simulation observables (wire tag 0).
     Sim(SimResult),
-    /// Checkpointed-sampling observables (wire tag 3).
-    Sampled(SampledResult),
 }
 
 impl JobResult {
     fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            JobResult::Sim(s) => {
-                out.push(0);
-                s.encode(out);
-            }
-            JobResult::Sampled(s) => {
-                out.push(3);
-                s.encode(out);
-            }
-        }
+        let JobResult::Sim(s) = self;
+        out.push(0);
+        s.encode(out);
     }
 
     fn decode(r: &mut Reader) -> Result<Self, WireError> {
         match r.u8("result kind")? {
             0 => Ok(JobResult::Sim(SimResult::decode(r)?)),
-            3 => Ok(JobResult::Sampled(SampledResult::decode(r)?)),
             tag => Err(WireError::UnknownTag("result kind", tag)),
         }
     }

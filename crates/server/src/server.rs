@@ -40,11 +40,8 @@ use crate::digest::fold_commit_event;
 use crate::programs::{
     ProgramCache, ProgramCounters, ProgramKey, ProgramStats, PROGRAM_BUDGET_BYTES,
 };
-use crate::protocol::{
-    fnv64, workload_scale, JobResult, JobSpec, Response, SampleSpec, SampledResult, SimResult,
-    SimSpec,
-};
-use orinoco_core::{run_sampled, Core, Fleet};
+use crate::protocol::{fnv64, workload_scale, JobResult, JobSpec, Response, SimResult, SimSpec};
+use orinoco_core::{Core, Fleet};
 use orinoco_isa::Emulator;
 use orinoco_util::mailbox::Dispatcher;
 use orinoco_util::panic_message;
@@ -213,9 +210,8 @@ impl ServerInner {
 /// converted to `Failed` here — then re-raised so the mailbox panic
 /// counter still sees them, keeping "jobs that panicked a lane"
 /// observable at the dispatcher. Jobs can also fail *politely* (an
-/// invalid core configuration, or a semantically invalid `Sample` spec):
-/// those yield `Failed` without unwinding — no lane was poisoned, so
-/// nothing is discarded or counted.
+/// invalid core configuration or scale): those yield `Failed` without
+/// unwinding — no lane was poisoned, so nothing is discarded or counted.
 fn run_primary(
     inner: &Arc<ServerInner>,
     ctx: &mut WorkerCtx,
@@ -228,9 +224,9 @@ fn run_primary(
     let progress = |cycles, committed, stalls: String| {
         let _ = tx.send(Response::Progress { job_id, cycles, committed, stalls });
     };
-    let outcome = catch_unwind(AssertUnwindSafe(|| match spec {
-        JobSpec::Sim(sim) => run_sim_on_fleet(ctx, &sim, progress).map(JobResult::Sim),
-        JobSpec::Sample(s) => execute_sample(&s).map(JobResult::Sampled),
+    let JobSpec::Sim(sim) = spec;
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        run_sim_on_fleet(ctx, &sim, progress).map(JobResult::Sim)
     }));
     match outcome {
         Ok(Ok(result)) => {
@@ -331,33 +327,6 @@ fn run_sim_on_fleet(
     });
     ctx.programs.checkin(key, emu);
     Ok(result)
-}
-
-/// Server-side sampling execution. Validation failures come back as
-/// `Err` (→ a `Failed` response), not a panic: a bad spec is a client
-/// mistake, not a poisoned lane. The sampler manages its own per-worker
-/// fleets internally (`SampleConfig::threads`), so the worker's warm
-/// fleet is not involved — parallelism here is *inside* one job, across
-/// the sample's detailed intervals.
-fn execute_sample(spec: &SampleSpec) -> Result<SampledResult, String> {
-    let scfg = spec.to_sample_config();
-    scfg.validate()?;
-    let cfg = spec.config.to_core_config(spec.seed);
-    cfg.validate()?;
-    let emu = spec.workload.build(spec.seed, workload_scale(spec.scale)?);
-    let stats = run_sampled(emu, cfg, &scfg);
-    let summary = stats.summary();
-    Ok(SampledResult {
-        total_insts: stats.total_insts,
-        detailed_insts: stats.detailed_insts,
-        warmup_insts: stats.warmup_insts,
-        intervals: stats.intervals.len() as u64,
-        weight_sum: stats.weight_sum(),
-        est_cpi_bits: stats.est_cpi().to_bits(),
-        rel_ci95_bits: stats.rel_ci95().to_bits(),
-        summary_digest: fnv64(summary.as_bytes()),
-        summary,
-    })
 }
 
 /// Reference path: the exact computation a one-shot sweep binary performs

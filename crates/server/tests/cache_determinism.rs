@@ -6,9 +6,7 @@
 //! canonical hash). Green under `--release` (CI runs this file with
 //! `cargo test --release -p orinoco-server`).
 
-use orinoco_server::{
-    run_one_shot, ConfigSpec, JobResult, JobSpec, Preset, SampleSpec, Server, SimSpec,
-};
+use orinoco_server::{run_one_shot, ConfigSpec, JobResult, JobSpec, Preset, Server, SimSpec};
 use orinoco_core::{CommitKind, SchedulerKind};
 use orinoco_util::prop::forall;
 use orinoco_util::Rng;
@@ -41,15 +39,11 @@ fn concurrent_identical_submissions_are_byte_identical_and_computed_once() {
             let reference = &reference;
             scope.spawn(move || {
                 let client = server.client();
-                match client.run(JobSpec::Sim(job)).expect("job failed") {
-                    JobResult::Sim(r) => {
-                        assert_eq!(r.stats_debug, reference.stats_debug, "client {c}: stats drifted");
-                        assert_eq!(r.commit_digest, reference.commit_digest, "client {c}");
-                        assert_eq!(r.stats_digest, reference.stats_digest, "client {c}");
-                        assert_eq!(r, *reference, "client {c}: full result drifted");
-                    }
-                    other => panic!("unexpected result {other:?}"),
-                }
+                let JobResult::Sim(r) = client.run(JobSpec::Sim(job)).expect("job failed");
+                assert_eq!(r.stats_debug, reference.stats_debug, "client {c}: stats drifted");
+                assert_eq!(r.commit_digest, reference.commit_digest, "client {c}");
+                assert_eq!(r.stats_digest, reference.stats_digest, "client {c}");
+                assert_eq!(r, *reference, "client {c}: full result drifted");
             });
         }
     });
@@ -74,11 +68,8 @@ fn cached_and_fresh_results_are_byte_identical() {
     let server_b = Server::new(2);
     let cold = server_b.client().run(JobSpec::Sim(job)).expect("cold run");
 
-    for (label, r) in [("fresh", &fresh), ("cached", &cached), ("cold", &cold)] {
-        match r {
-            JobResult::Sim(r) => assert_eq!(*r, reference, "{label} result differs from serial"),
-            other => panic!("unexpected result {other:?}"),
-        }
+    for (label, JobResult::Sim(r)) in [("fresh", &fresh), ("cached", &cached), ("cold", &cold)] {
+        assert_eq!(*r, reference, "{label} result differs from serial");
     }
 }
 
@@ -94,12 +85,8 @@ fn warm_lane_reuse_does_not_change_results() {
         client.run(JobSpec::Sim(spec(*w, 1000 + i as u64))).expect("warm-up job");
     }
     let probe = spec(Workload::GemmLike, 31_337);
-    match client.run(JobSpec::Sim(probe)).expect("probe") {
-        JobResult::Sim(r) => {
-            assert_eq!(r, run_one_shot(&probe).expect("reference"), "warm lane drifted")
-        }
-        other => panic!("unexpected result {other:?}"),
-    }
+    let JobResult::Sim(r) = client.run(JobSpec::Sim(probe)).expect("probe");
+    assert_eq!(r, run_one_shot(&probe).expect("reference"), "warm lane drifted");
 }
 
 // ---------------------------------------------------------------------------
@@ -167,30 +154,5 @@ fn cache_key_is_canonical_over_the_encoding() {
         // Presentation-only: progress cadence never changes identity.
         let streamed = JobSpec::Sim(SimSpec { progress_cycles: 7_777, ..a });
         assert_eq!(ja.cache_key(), streamed.cache_key());
-    });
-}
-
-#[test]
-fn job_kinds_never_collide() {
-    // A sim and a sampling job over the same config, workload, scale and
-    // seed, with the sample's leading numeric fields set to the sim's,
-    // must key differently (the kind tag leads the canonical encoding).
-    forall("kind-collision-freedom", 0x4B1D, 500, |rng| {
-        let sim = arb_spec(rng);
-        let sample = SampleSpec {
-            config: sim.config,
-            workload: sim.workload,
-            scale: sim.scale,
-            seed: sim.seed,
-            warmup_insts: sim.max_instrs,
-            detail_insts: sim.max_cycles,
-            period_insts: sim.progress_cycles,
-            ..SampleSpec::orinoco_base(sim.workload)
-        };
-        assert_ne!(
-            JobSpec::Sim(sim).cache_key(),
-            JobSpec::Sample(sample).cache_key(),
-            "job kinds collided: {sim:?} vs {sample:?}"
-        );
     });
 }

@@ -3,10 +3,10 @@
 //! counterparts, and bad specs must fail politely.
 
 use orinoco_server::{
-    run_one_shot, ConfigSpec, JobResult, JobSpec, Request, Response, SampleSpec, Server, SimSpec,
-    TcpClient, TcpFront,
+    run_one_shot, ConfigSpec, JobResult, JobSpec, Request, Response, Server, SimSpec, TcpClient,
+    TcpFront,
 };
-use orinoco_core::{CommitKind, SampleConfig, SchedulerKind};
+use orinoco_core::{CommitKind, SchedulerKind};
 use orinoco_workloads::Workload;
 
 /// A small sweep grid: 3 workloads x 2 configs x 2 seeds.
@@ -53,14 +53,12 @@ fn concurrent_multi_client_sweep_matches_serial_one_shots() {
                 let ids: Vec<u64> =
                     specs.iter().map(|s| client.submit(JobSpec::Sim(*s))).collect();
                 for (i, id) in ids.into_iter().enumerate() {
-                    match client.wait(id).0.expect("sweep job failed") {
-                        JobResult::Sim(r) => assert_eq!(
-                            r, serial[i],
-                            "client {c} point {i} ({} seed {}) diverged from one-shot",
-                            specs[i].workload, specs[i].seed
-                        ),
-                        other => panic!("unexpected result {other:?}"),
-                    }
+                    let JobResult::Sim(r) = client.wait(id).0.expect("sweep job failed");
+                    assert_eq!(
+                        r, serial[i],
+                        "client {c} point {i} ({} seed {}) diverged from one-shot",
+                        specs[i].workload, specs[i].seed
+                    );
                 }
             });
         }
@@ -105,17 +103,10 @@ fn progress_streams_between_accept_and_done() {
     // job (which also proves progress_cycles is outside the cache key —
     // this submission HITS the cache entry written by the streamed run).
     let quiet = SimSpec { progress_cycles: 0, ..spec };
-    match client.run(JobSpec::Sim(quiet)).expect("quiet sim failed") {
-        JobResult::Sim(_) => {}
-        other => panic!("unexpected result {other:?}"),
-    }
+    client.run(JobSpec::Sim(quiet)).expect("quiet sim failed");
     assert_eq!(server.cache_stats().hits, 1, "quiet resubmit must hit the streamed entry");
-    match result {
-        JobResult::Sim(r) => {
-            assert_eq!(r, run_one_shot(&quiet).expect("reference"), "streaming changed the result")
-        }
-        other => panic!("unexpected result {other:?}"),
-    }
+    let JobResult::Sim(r) = result;
+    assert_eq!(r, run_one_shot(&quiet).expect("reference"), "streaming changed the result");
 }
 
 #[test]
@@ -182,80 +173,25 @@ fn invalid_core_config_fails_politely_over_tcp() {
 }
 
 /// A scale `Workload::build` cannot take — 0, or more than a `u32` holds
-/// — fails an in-process `Sim` or `Sample` job just as the wire decoder
-/// refuses it: no lane unwinds, and 2^32 + 1 is not run as scale 1 under
-/// a second cache key. The one-shot reference refuses it too instead of
-/// panicking while it builds the program. The last, valid job on the one
-/// worker makes the panic count final before it is read.
+/// — fails an in-process `Sim` job just as the wire decoder refuses it:
+/// no lane unwinds, and 2^32 + 1 is not run as scale 1 under a second
+/// cache key. The one-shot reference refuses it too instead of panicking
+/// while it builds the program. The last, valid job on the one worker
+/// makes the panic count final before it is read.
 #[test]
 fn out_of_range_scale_fails_politely_in_process() {
     let server = Server::new(1);
     let client = server.client();
     let good = sweep_grid()[0];
-    let sample = SampleSpec::orinoco_base(good.workload);
     for scale in [0, 1 << 32, (1 << 32) + 1] {
         let want = format!("scale {scale} is outside");
         let bad = SimSpec { scale, ..good };
         let reason = run_one_shot(&bad).expect_err("one-shot must refuse the scale");
         assert!(reason.contains(&want), "unhelpful reason: {reason}");
-        for spec in [JobSpec::Sim(bad), JobSpec::Sample(SampleSpec { scale, ..sample })] {
-            let reason = client.run(spec).expect_err("an out-of-range scale must fail");
-            assert!(reason.contains(&want), "unhelpful reason: {reason}");
-        }
+        let reason = client.run(JobSpec::Sim(bad)).expect_err("an out-of-range scale must fail");
+        assert!(reason.contains(&want), "unhelpful reason: {reason}");
     }
     let r = client.run(JobSpec::Sim(good)).expect("valid job after the failures");
     assert_eq!(r, JobResult::Sim(run_one_shot(&good).expect("reference")));
     assert_eq!(server.job_panics(), 0, "a bad scale must not unwind a lane");
-}
-
-/// A `Sample` job asking for more worker threads than
-/// `SampleConfig::MAX_THREADS` is refused by validation before the
-/// sampler starts any thread: the job gets `Failed`, no worker unwinds,
-/// and the connection's next job still equals its one-shot. The thread
-/// count is outside the cache key, so a serial twin of the same job runs
-/// first: the oversized jobs must not be answered with its cached result.
-/// Only the twin starts a sampler thread (one); every oversized count is
-/// one validation refuses.
-#[test]
-fn oversized_sample_thread_count_fails_politely_over_tcp() {
-    let server = Server::new(1);
-    let front = TcpFront::spawn(&server, "127.0.0.1:0").expect("bind");
-    let mut tcp = TcpClient::connect(front.addr()).expect("connect");
-    let mut run = |spec: JobSpec| {
-        tcp.send(&Request::Submit { queue: 1, spec }).expect("submit");
-        loop {
-            match tcp.recv().expect("recv").expect("open") {
-                Response::Done { result, .. } => return Ok(result),
-                Response::Failed { reason, .. } => return Err(reason),
-                _ => {}
-            }
-        }
-    };
-    let twin = SampleSpec {
-        workload: Workload::ExchangeLike,
-        seed: 7,
-        warmup_insts: 500,
-        detail_insts: 2_000,
-        period_insts: 10_000,
-        threads: 1,
-        ..SampleSpec::orinoco_base(Workload::ExchangeLike)
-    };
-    run(JobSpec::Sample(twin)).expect("serial twin");
-    let ceiling = SampleConfig::MAX_THREADS as u64;
-    for threads in [ceiling + 1, u64::MAX] {
-        let spec = SampleSpec { threads, ..twin };
-        let reason = run(JobSpec::Sample(spec)).expect_err("oversized thread count must fail");
-        assert!(reason.contains("threads"), "unhelpful reason: {reason}");
-        assert_eq!(
-            server.job_panics(),
-            0,
-            "a bad spec must not unwind a worker"
-        );
-    }
-    let good = sweep_grid()[0];
-    let r = run(JobSpec::Sim(good)).expect("valid job after the failures");
-    assert_eq!(r, JobResult::Sim(run_one_shot(&good).expect("reference")));
-    assert_eq!(server.job_panics(), 0);
-    tcp.send(&Request::Bye).ok();
-    front.stop();
 }

@@ -155,10 +155,8 @@ fn panicked_lane_is_discarded_and_the_worker_keeps_serving() {
             "round {round}: unexpected failure reason: {reason}"
         );
         let (good, _) = client.wait(id_good);
-        match good.expect("healthy sim must succeed after a lane panic") {
-            JobResult::Sim(r) => assert_eq!(r, reference, "round {round}: post-panic result drifted"),
-            other => panic!("unexpected result {other:?}"),
-        }
+        let JobResult::Sim(r) = good.expect("healthy sim must succeed after a lane panic");
+        assert_eq!(r, reference, "round {round}: post-panic result drifted");
     }
     assert_eq!(server.job_panics(), 4);
 }

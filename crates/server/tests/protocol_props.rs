@@ -3,11 +3,10 @@
 //! error, every bit flip is detected, trailing bytes are rejected, and
 //! unknown tags never panic.
 
-use orinoco_core::{CommitKind, SampleConfig, SchedulerKind};
+use orinoco_core::{CommitKind, SchedulerKind};
 use orinoco_server::protocol::{decode_frame, encode_frame, MAX_FRAME_LEN};
 use orinoco_server::{
-    ConfigSpec, JobResult, JobSpec, Preset, Request, Response, SampleSpec, SampledResult,
-    SimResult, SimSpec, WireError,
+    ConfigSpec, JobResult, JobSpec, Preset, Request, Response, SimResult, SimSpec, WireError,
 };
 use orinoco_util::prop::forall;
 use orinoco_util::Rng;
@@ -43,63 +42,22 @@ fn arb_config_spec(rng: &mut Rng) -> ConfigSpec {
     }
 }
 
-fn arb_sample_spec(rng: &mut Rng) -> SampleSpec {
-    // Deliberately unconstrained sample geometry: semantically invalid
-    // specs (period < warmup + detail, …) must still round-trip — the
-    // wire layer carries them and the *server* rejects them at run time.
-    SampleSpec {
-        config: arb_config_spec(rng),
-        workload: Workload::ALL[rng.gen_range(0..Workload::ALL.len() as u64) as usize],
-        scale: rng.gen_range(1..100u64),
-        seed: rng.next_u64(),
-        warmup_insts: rng.next_u64() >> 40,
-        detail_insts: rng.next_u64() >> 40,
-        period_insts: rng.next_u64() >> 30,
-        warm_horizon: rng.next_u64() >> 40,
-        max_intervals: rng.gen_range(0..1_000u64),
-        phases: rng.gen_range(0..64u64),
-        threads: rng.gen_range(0..32u64),
-    }
-}
-
-fn arb_job_spec(rng: &mut Rng) -> JobSpec {
-    if rng.gen_range(0..2u64) == 0 {
-        JobSpec::Sim(arb_sim_spec(rng))
-    } else {
-        JobSpec::Sample(arb_sample_spec(rng))
-    }
-}
-
 fn arb_request(rng: &mut Rng) -> Request {
     match rng.gen_range(0..3u64) {
         0 => Request::Ping,
-        1 => Request::Submit { queue: rng.next_u64(), spec: arb_job_spec(rng) },
+        1 => Request::Submit { queue: rng.next_u64(), spec: JobSpec::Sim(arb_sim_spec(rng)) },
         _ => Request::Bye,
     }
 }
 
 fn arb_job_result(rng: &mut Rng) -> JobResult {
-    if rng.gen_range(0..2u64) == 0 {
-        JobResult::Sim(SimResult {
-            cycles: rng.next_u64(),
-            committed: rng.next_u64(),
-            stats_debug: arb_string(rng),
-            commit_digest: rng.next_u64(),
-            stats_digest: rng.next_u64(),
-        })
-    } else {
-        JobResult::Sampled(SampledResult {
-            total_insts: rng.next_u64(),
-            detailed_insts: rng.next_u64(),
-            warmup_insts: rng.next_u64(),
-            intervals: rng.next_u64(),
-            weight_sum: rng.next_u64(),
-            est_cpi_bits: rng.next_u64(),
-            rel_ci95_bits: rng.next_u64(),
-            summary: arb_string(rng),
-            summary_digest: rng.next_u64(),
-        })
-    }
+    JobResult::Sim(SimResult {
+        cycles: rng.next_u64(),
+        committed: rng.next_u64(),
+        stats_debug: arb_string(rng),
+        commit_digest: rng.next_u64(),
+        stats_digest: rng.next_u64(),
+    })
 }
 
 fn arb_response(rng: &mut Rng) -> Response {
@@ -117,23 +75,37 @@ fn arb_response(rng: &mut Rng) -> Response {
     }
 }
 
+/// One `Sim` spec's canonical bytes and cache key, pinned. The values
+/// predate the removal of the other job kinds, so they show that `Sim`
+/// kept its wire format and its cache identity. Every field holds a
+/// non-default value, and `progress_cycles` (zeroed out of the key) is
+/// non-zero.
 #[test]
-fn sample_threads_is_not_part_of_the_cache_key() {
-    // Thread count only changes wall-clock time (the sampled result is
-    // byte-identical at any count), so it must not fragment the cache —
-    // while every result-bearing field must, and so must a count above
-    // the ceiling, whose job fails where its valid twin succeeds.
-    forall("sample-key-threads", 0x5A4B, 500, |rng| {
-        let mut spec = arb_sample_spec(rng);
-        let key = JobSpec::Sample(spec).cache_key();
-        spec.threads = rng.gen_range(0..32u64);
-        assert_eq!(JobSpec::Sample(spec).cache_key(), key, "threads fragmented the key");
-        spec.threads = SampleConfig::MAX_THREADS as u64 + 1 + rng.gen_range(0..4u64);
-        assert_ne!(JobSpec::Sample(spec).cache_key(), key, "oversized threads share the key");
-        spec.threads = 0;
-        spec.seed ^= 1;
-        assert_ne!(JobSpec::Sample(spec).cache_key(), key, "seed missing from the key");
+fn sim_encoding_and_cache_key_are_pinned() {
+    let spec = JobSpec::Sim(SimSpec {
+        config: ConfigSpec {
+            preset: Preset::Ultra,
+            scheduler: SchedulerKind::CriOrinoco,
+            commit: CommitKind::Spec,
+            fast_forward: false,
+            rob_entries: 256,
+            iq_entries: 96,
+        },
+        workload: Workload::HashjoinLike,
+        scale: 3,
+        seed: 0x0123_4567_89AB_CDEF,
+        max_instrs: 10_000,
+        max_cycles: 5_000_000,
+        progress_cycles: 1_000,
     });
+    let hex: String = spec.encode().iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(
+        hex,
+        "00020704000001000000000000600000000000000003030000000000\
+         0000efcdab89674523011027000000000000404b4c0000000000e8030000\
+         00000000"
+    );
+    assert_eq!(spec.cache_key(), 0x4ee2_94af_4291_f4f6_1538_2440_3112_2ecf);
 }
 
 #[test]
@@ -276,9 +248,9 @@ fn unknown_tags_and_bad_values_are_rejected() {
         }),
     };
     let bytes = good_submit.encode();
-    // Job and result kinds: only Sim (0) and Sample (3) exist, so every
-    // other tag, 1 and 2 included, must be rejected. The kind follows the
-    // message tag and the 8-byte queue or job id, at offset 9.
+    // Job and result kinds: only Sim (0) exists, so every other tag must
+    // be rejected, including 1–3, which earlier job kinds used. The kind
+    // follows the message tag and the 8-byte queue or job id, at offset 9.
     let done = Response::Done {
         job_id: 1,
         result: JobResult::Sim(SimResult {
@@ -290,7 +262,7 @@ fn unknown_tags_and_bad_values_are_rejected() {
         }),
     }
     .encode();
-    for tag in (1..=2u8).chain(4..=255) {
+    for tag in 1..=255u8 {
         let mut evil = bytes.clone();
         evil[9] = tag;
         assert!(

@@ -348,14 +348,16 @@ pub fn run_cosim_pooled(
 
 /// Runs `f` with the default panic hook silenced, so expected DUT panics
 /// (fault-injection campaigns) do not spam stderr. The previous hook is
-/// restored afterwards.
+/// restored afterwards, also when `f` panics: the panic is caught, the
+/// hook put back, and the panic resumed. (A drop guard cannot do this:
+/// the hook cannot be changed from a panicking thread.)
 pub fn with_quiet_panics<T>(f: impl FnOnce() -> T) -> T {
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let out = f();
-    let _ = std::panic::take_hook();
+    let out = catch_unwind(AssertUnwindSafe(f));
+    drop(std::panic::take_hook());
     std::panic::set_hook(prev);
-    out
+    out.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
 #[cfg(test)]

@@ -32,10 +32,6 @@ fn server_one_shot_and_direct_core_agree() {
 
     let server = Server::new(2);
     let client = server.client();
-    match client.run(JobSpec::Sim(spec)).expect("served job") {
-        JobResult::Sim(served) => {
-            assert_eq!(served, one_shot, "served result diverged from the one-shot path")
-        }
-        other => panic!("unexpected result {other:?}"),
-    }
+    let JobResult::Sim(served) = client.run(JobSpec::Sim(spec)).expect("served job");
+    assert_eq!(served, one_shot, "served result diverged from the one-shot path");
 }
