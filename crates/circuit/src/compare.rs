@@ -3,7 +3,6 @@
 //! wall and the whole-core overhead estimate.
 
 use crate::model::{collapsible_queue_power_w, ArrayModel, SchedulerTech};
-use crate::table2::table2_schedulers;
 
 /// One row of the technology comparison for a given geometry.
 #[derive(Clone, Copy, Debug)]
@@ -113,12 +112,6 @@ pub fn ultra_rob_scaling() -> (f64, f64) {
     // merge through one extra 2-input NOR (≈ 25 ps), per §6.4.
     let split = ArrayModel::pim(512, 256, 8).read_latency_ps() + 25.0;
     (monolithic, split)
-}
-
-/// Convenience: the four Table 2 scheduler names (for harness printing).
-#[must_use]
-pub fn scheduler_names() -> Vec<&'static str> {
-    table2_schedulers().into_iter().map(|s| s.name).collect()
 }
 
 #[cfg(test)]

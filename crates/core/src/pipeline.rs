@@ -549,19 +549,6 @@ impl Core {
         &self.stats
     }
 
-    /// Live memory-hierarchy counters (valid mid-run, unlike
-    /// [`SimStats::mem`] which is snapshotted by [`Core::finalize_run_stats`]).
-    #[must_use]
-    pub fn mem_stats(&self) -> &orinoco_mem::MemStats {
-        self.mem.stats()
-    }
-
-    /// Live front-end counters (valid mid-run, unlike [`SimStats::fetch`]).
-    #[must_use]
-    pub fn fetch_stats(&self) -> &crate::fetch::FetchStats {
-        self.fetch.stats()
-    }
-
     /// `true` when the program has fully drained through the pipeline.
     #[must_use]
     pub fn finished(&self) -> bool {
@@ -838,19 +825,6 @@ impl Core {
         }
     }
 
-    /// Injects a remote coherence invalidation for `addr` (the multicore
-    /// TSO harness of §3.3): the line is invalidated in the local
-    /// hierarchy, and the acknowledgement is returned `true` if it can be
-    /// sent immediately or `false` if an active lockdown withholds it —
-    /// in which case it is sent automatically when the lockdown lifts, so
-    /// no other core can ever observe a committed load's reordering.
-    pub fn inject_invalidation(&mut self, addr: u64) -> bool {
-        let line = addr / 64;
-        let ack_now = self.ldt.incoming_invalidation(line);
-        self.mem.invalidate(addr);
-        ack_now
-    }
-
     /// Number of currently active lockdowns (committed loads still waiting
     /// for older loads to perform).
     #[must_use]
@@ -866,28 +840,24 @@ impl Core {
         self.ldt_line.iter().flatten().next().map(|&l| l * 64)
     }
 
-    /// All currently locked-down line addresses, sorted (lockdown
-    /// observability for the TSO litmus harness).
-    #[must_use]
-    pub fn locked_lines(&self) -> Vec<u64> {
-        self.ldt.locked_lines().into_iter().map(|l| l * 64).collect()
-    }
-
     // ------------------------------------------------------------------
     // Multicore (`System`) hooks
     // ------------------------------------------------------------------
 
-    /// Delivers a remote coherence invalidation from the `System`'s
-    /// directory: invalidate locally (like [`Core::inject_invalidation`]),
-    /// then check whether the invalidation makes a committed-early load's
-    /// value stale — a performed, uncommitted, correct-path load to the
-    /// invalidated line with an older non-performed load still in flight
-    /// must replay, because its (already read) value may now violate TSO
-    /// once the remote store installs. Returns `true` when the ack can go
-    /// out immediately, `false` when an active lockdown withholds it.
+    /// Delivers a remote coherence invalidation for `addr` (§3.3; the
+    /// `System`'s directory calls it). The line is invalidated in the
+    /// local hierarchy, then checked for a committed-early load whose
+    /// value it makes stale: a performed, uncommitted, correct-path load
+    /// to the invalidated line with an older non-performed load still in
+    /// flight must replay, because its (already read) value may violate
+    /// TSO once the remote store installs. Returns `true` when the ack
+    /// can go out immediately, `false` when an active lockdown withholds
+    /// it — it is then sent when the lockdown lifts, so no other core can
+    /// observe a committed load's reordering.
     pub fn apply_remote_invalidation(&mut self, addr: u64) -> bool {
-        let ack_now = self.inject_invalidation(addr);
         let line = addr / 64;
+        let ack_now = self.ldt.incoming_invalidation(line);
+        self.mem.invalidate(addr);
         let mut victim: Option<(usize, u64)> = None;
         for slot in 0..self.cfg.lq_entries {
             let Some(l) = self.lsq.load(slot) else { continue };
@@ -935,12 +905,6 @@ impl Core {
     #[must_use]
     pub fn sb_head(&self) -> Option<(u64, u64)> {
         self.sb.front().copied()
-    }
-
-    /// Store-buffer occupancy.
-    #[must_use]
-    pub fn sb_len(&self) -> usize {
-        self.sb.len()
     }
 
     /// TSO read→write drain gate: the store at the SB head may only make
@@ -2359,9 +2323,63 @@ mod tests {
     #[test]
     fn invalidation_of_unlocked_line_acks_immediately() {
         let mut core = tiny_core(CoreConfig::base());
-        assert!(core.inject_invalidation(0x4000));
+        assert!(core.apply_remote_invalidation(0x4000));
         assert_eq!(core.active_lockdowns(), 0);
         assert_eq!(core.any_locked_line(), None);
+    }
+
+    #[test]
+    fn invalidation_replays_a_performed_load_past_an_older_pending_one() {
+        // In-order commit (the base config) keeps a performed load in the
+        // LQ while an older load is still pending: the older load's
+        // address ends a dependency chain and misses to DRAM, the younger
+        // load to line A issues at once.
+        use crate::lsq::LqEntry;
+        use orinoco_isa::ArchReg;
+        const LINE_A: u64 = 0x1000;
+        let x = ArchReg::int;
+        let mut b = ProgramBuilder::new();
+        b.li(x(6), LINE_A as i64);
+        b.li(x(1), 0);
+        for _ in 0..64 {
+            b.addi(x(1), x(1), 0x100); // x1 = 0x4000, a cold line
+        }
+        b.ld(x(4), x(1), 0);
+        b.ld(x(5), x(6), 0);
+        b.halt();
+        let mut core = Core::new(Emulator::new(b.build(), 1 << 16), CoreConfig::base());
+        let loads = |core: &Core| -> Vec<LqEntry> {
+            (0..core.cfg.lq_entries)
+                .filter_map(|s| core.lsq.load(s).cloned())
+                .collect()
+        };
+        let window_open = |core: &Core| {
+            let lq = loads(core);
+            lq.iter().any(|l| {
+                l.addr == Some(LINE_A)
+                    && l.performed
+                    && lq.iter().any(|o| o.seq < l.seq && !o.performed)
+            })
+        };
+        while !window_open(&core) {
+            assert!(!core.finished(), "the younger load never performed first");
+            core.step();
+        }
+        let older = core.lsq.oldest_nonperformed_load();
+        let replays = core.stats().replays;
+        let ack_now = core.apply_remote_invalidation(LINE_A);
+        assert!(ack_now, "no lockdown under in-order commit");
+        let replayed = core.stats().replays - replays;
+        assert_eq!(replayed, 1, "the stale load was not replayed");
+        assert!(
+            loads(&core).iter().all(|l| l.addr != Some(LINE_A)),
+            "the load that read line A is still in the LQ"
+        );
+        let still_older = core.lsq.oldest_nonperformed_load();
+        assert_eq!(still_older, older, "the older load was squashed");
+        // Drains, and `run` checks that each of the program's 69
+        // instructions committed exactly once.
+        assert_eq!(core.run(1_000_000).committed, 69);
     }
 
     #[test]

@@ -218,7 +218,8 @@ impl SampleConfig {
         if self.detail_insts == 0 {
             return Err("detail_insts must be positive".into());
         }
-        if self.period_insts < self.warmup_insts + self.detail_insts {
+        let need = self.warmup_insts.checked_add(self.detail_insts);
+        if need.is_none_or(|need| self.period_insts < need) {
             return Err(format!(
                 "period {} shorter than warmup {} + detail {}",
                 self.period_insts, self.warmup_insts, self.detail_insts,
@@ -973,6 +974,17 @@ mod tests {
         let max = SampleConfig::new(200, 1_000, 5_000).with_threads(SampleConfig::MAX_THREADS);
         assert!(max.validate().is_ok());
         assert!(SampleConfig::new(200, 1_000, 5_000).validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_a_warmup_plus_detail_that_overflows() {
+        // `warmup + detail` wraps to 1 in a release build, which would
+        // accept the config and underflow `run_sampled`'s slack.
+        let mut wrap = SampleConfig::new(200, 1_000, 5_000);
+        wrap.warmup_insts = u64::MAX;
+        wrap.detail_insts = 2;
+        wrap.period_insts = 5;
+        assert!(wrap.validate().unwrap_err().contains("period"));
     }
 
     #[test]

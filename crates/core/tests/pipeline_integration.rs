@@ -420,7 +420,8 @@ fn tso_lockdowns_withhold_and_release_invalidation_acks() {
         if core.cycle().is_multiple_of(32) {
             if let Some(line) = core.any_locked_line() {
                 // An invalidation to a locked line must NOT be acked now.
-                assert!(!core.inject_invalidation(line), "lockdown leaked an ack");
+                let ack_now = core.apply_remote_invalidation(line);
+                assert!(!ack_now, "lockdown leaked an ack");
                 withheld += 1;
             }
         }
@@ -428,7 +429,9 @@ fn tso_lockdowns_withhold_and_release_invalidation_acks() {
     assert!(engaged, "lockdowns never engaged");
     assert!(withheld > 0, "no invalidation ever hit a locked line");
     // The run drained: every withheld ack was eventually released (the
-    // lockdown table panics on leaked releases, and the commit checksum
-    // inside run()/finished() held).
+    // lockdown table panics on leaked releases), and every instruction,
+    // replays included, committed exactly once.
+    assert!(core.finished(), "the run did not drain");
     assert_eq!(core.active_lockdowns(), 0, "lockdowns leaked at drain");
+    core.finalize_run_stats();
 }

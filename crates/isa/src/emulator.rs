@@ -428,15 +428,6 @@ impl Emulator {
         h
     }
 
-    /// Runs to completion invoking `hook` after every instruction with the
-    /// executed instruction and the post-step emulator state (step-hook
-    /// form of [`Emulator::run`] for lockstep observers).
-    pub fn run_with(&mut self, mut hook: impl FnMut(&DynInst, &Emulator)) {
-        while let Some(d) = self.step() {
-            hook(&d, self);
-        }
-    }
-
     /// Executes one instruction; `None` once halted.
     #[allow(clippy::too_many_lines)]
     pub fn step(&mut self) -> Option<DynInst> {

@@ -9,8 +9,9 @@
 //! * [`Inst`]/[`Opcode`]/[`InstClass`] — a compact instruction set with
 //!   integer, multiply/divide, floating-point, memory, branch and fence
 //!   operations spanning the latency classes of the paper's FU mix.
-//! * [`ProgramBuilder`] — labels and mnemonics for writing kernels, plus
-//!   a textual [`assemble`]/[`disassemble`] pair.
+//! * [`ProgramBuilder`] — labels and mnemonics for writing kernels;
+//!   a built [`Program`] prints one instruction per line through
+//!   `Display`.
 //! * [`Emulator`] — the architectural oracle producing the [`DynInst`]
 //!   stream that drives the cycle-level pipeline.
 //!
@@ -38,13 +39,11 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-mod asm;
 mod emulator;
 mod inst;
 mod program;
 mod reg;
 
-pub use asm::{assemble, disassemble, AsmError};
 pub use emulator::{ArchSnapshot, DynInst, EmuCheckpoint, Emulator, HaltReason};
 pub use inst::{Inst, InstClass, Opcode};
 pub use program::{Label, Program, ProgramBuilder};

@@ -20,12 +20,6 @@ impl Program {
         Self::default()
     }
 
-    /// The instructions.
-    #[must_use]
-    pub fn insts(&self) -> &[Inst] {
-        &self.insts
-    }
-
     /// Number of static instructions.
     #[must_use]
     pub fn len(&self) -> usize {

@@ -46,12 +46,6 @@ impl LockdownMatrix {
         Self { m: BitMatrix::new(ldt, lq) }
     }
 
-    /// Lockdown table capacity (rows).
-    #[must_use]
-    pub fn ldt_capacity(&self) -> usize {
-        self.m.rows()
-    }
-
     /// Load queue capacity (columns).
     #[must_use]
     pub fn lq_capacity(&self) -> usize {

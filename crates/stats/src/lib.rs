@@ -24,4 +24,4 @@ mod table;
 pub use histogram::Histogram;
 pub use stall::{Resource, StallBreakdown, StallCause, StallTaxonomy};
 pub use summary::{geomean, improvement_pct, mean, speedup};
-pub use table::{Align, TextTable};
+pub use table::TextTable;

@@ -3,16 +3,6 @@
 
 use std::fmt;
 
-/// Cell alignment.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Align {
-    /// Left-aligned (labels).
-    #[default]
-    Left,
-    /// Right-aligned (numbers).
-    Right,
-}
-
 /// A text table with a header row.
 ///
 /// # Examples
@@ -30,31 +20,17 @@ pub enum Align {
 pub struct TextTable {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
-    aligns: Vec<Align>,
 }
 
 impl TextTable {
-    /// Creates a table with the given column headers. The first column is
-    /// left-aligned, the rest right-aligned (override with
-    /// [`TextTable::set_aligns`]).
+    /// Creates a table with the given column headers. The first column
+    /// (labels) is left-aligned, the rest (numbers) right-aligned.
     #[must_use]
     pub fn new<S: Into<String>>(header: Vec<S>) -> Self {
-        let header: Vec<String> = header.into_iter().map(Into::into).collect();
-        let mut aligns = vec![Align::Right; header.len()];
-        if let Some(a) = aligns.first_mut() {
-            *a = Align::Left;
+        Self {
+            header: header.into_iter().map(Into::into).collect(),
+            rows: Vec::new(),
         }
-        Self { header, rows: Vec::new(), aligns }
-    }
-
-    /// Overrides column alignments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length differs from the header width.
-    pub fn set_aligns(&mut self, aligns: Vec<Align>) {
-        assert_eq!(aligns.len(), self.header.len(), "alignment arity mismatch");
-        self.aligns = aligns;
     }
 
     /// Appends a row.
@@ -106,9 +82,10 @@ impl fmt::Display for TextTable {
                 if i > 0 {
                     write!(f, "  ")?;
                 }
-                match self.aligns[i] {
-                    Align::Left => write!(f, "{:<w$}", cells[i], w = widths[i])?,
-                    Align::Right => write!(f, "{:>w$}", cells[i], w = widths[i])?,
+                if i == 0 {
+                    write!(f, "{:<w$}", cells[i], w = widths[i])?;
+                } else {
+                    write!(f, "{:>w$}", cells[i], w = widths[i])?;
                 }
             }
             writeln!(f)

@@ -141,15 +141,6 @@ impl Rng {
         ((self.next_u64() >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < p
     }
 
-    /// Picks a uniformly random element, or `None` when empty.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
-        if slice.is_empty() {
-            None
-        } else {
-            Some(&slice[self.gen_range(0..slice.len())])
-        }
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {

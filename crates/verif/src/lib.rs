@@ -9,7 +9,8 @@
 //!    (commits are reordered by sequence number before comparison),
 //! 2. the final register file, memory image and instruction count,
 //! 3. TSO load→load ordering, via exhaustive litmus tests (MP, SB, LB)
-//!    over the lockdown matrix plus a cycle-level lockdown scenario.
+//!    over the lockdown matrix plus litmus runs and a lockdown scenario
+//!    on real two-core systems ([`syslitmus`]).
 //!
 //! The fuzzer is fully deterministic: program structure, data images and
 //! core configurations all derive from a single seed, failures shrink

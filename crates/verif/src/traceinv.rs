@@ -195,18 +195,11 @@ fn config_for(pseed: u64) -> CoreConfig {
         0 => CoreConfig::base()
             .with_scheduler(SchedulerKind::Orinoco)
             .with_commit(CommitKind::Orinoco),
-        1 => {
-            let mut c = CoreConfig::base()
+        1 => crate::tiny(
+            CoreConfig::base()
                 .with_scheduler(SchedulerKind::Orinoco)
-                .with_commit(CommitKind::Orinoco);
-            c.rob_entries = 24;
-            c.iq_entries = 12;
-            c.lq_entries = 6;
-            c.sq_entries = 5;
-            c.phys_regs = 40;
-            c.vb_entries = 4;
-            c
-        }
+                .with_commit(CommitKind::Orinoco),
+        ),
         2 => {
             let mut c = CoreConfig::base()
                 .with_scheduler(SchedulerKind::Orinoco)

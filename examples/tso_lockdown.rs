@@ -1,9 +1,11 @@
 //! TSO lockdown in action (§3.3): while a gather workload commits loads
 //! out of order past older non-performed loads, a second "core" fires
 //! invalidations at its addresses. Acknowledgements to lines under
-//! lockdown are withheld until the older loads perform, so the reordering
-//! can never be observed — non-speculative load→load reordering under
-//! Total Store Order with a non-collapsible LQ.
+//! lockdown are withheld until the older loads perform, and a performed
+//! but uncommitted load that read an invalidated line past an older
+//! pending load replays, so the reordering can never be observed —
+//! non-speculative load→load reordering under Total Store Order with a
+//! non-collapsible LQ.
 //!
 //! Run with:
 //! ```text
@@ -24,6 +26,7 @@ fn main() {
     let mut rng: u64 = 0x1234_5678_9ABC_DEF1;
     let mut invalidations = 0u64;
     let mut withheld = 0u64;
+    let mut replayed = 0u64;
     let mut max_lockdowns = 0usize;
     while !core.finished() && core.cycle() < 50_000_000 {
         core.step();
@@ -41,9 +44,11 @@ fn main() {
                 (rng % (4 << 20)) & !63
             };
             invalidations += 1;
-            if !core.inject_invalidation(addr) {
+            let replays = core.stats().replays;
+            if !core.apply_remote_invalidation(addr) {
                 withheld += 1;
             }
+            replayed += core.stats().replays - replays;
         }
     }
     let stats = core.stats();
@@ -55,6 +60,7 @@ fn main() {
     println!(
         "remote invalidations: {invalidations}, acknowledgements withheld by lockdowns: {withheld}"
     );
+    println!("loads replayed because an invalidation made their value stale: {replayed}");
     println!();
     println!(
         "Each withheld acknowledgement covered a committed-but-unordered load;\n\

@@ -48,15 +48,3 @@ fn full_suite_holds() {
         assert!(v.matrix_load_bearing, "{} lockdown not load-bearing: {v:?}", v.name);
     }
 }
-
-/// The cycle-level core exhibits the §3.3 protocol end to end: a load
-/// commits over an older non-performed load, its line locks down, a
-/// remote invalidation's ack is withheld, and the ack flows once the
-/// older load performs.
-#[test]
-fn cycle_level_lockdown_withholds_invalidation_acks() {
-    let demo = litmus::real_core_lockdown_demo();
-    assert!(demo.lockdown_engaged, "no lockdown engaged: {demo:?}");
-    assert!(demo.ack_withheld, "invalidation ack not withheld: {demo:?}");
-    assert!(demo.ack_after_release, "ack did not flow after release: {demo:?}");
-}
